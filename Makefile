@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench bench-quick bench-trend obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
+.PHONY: install test bench bench-quick bench-trend obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long streams-diff exhibits examples serve smoke-service fleet-smoke fleet-bench clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -48,14 +48,16 @@ analytic-bench:
 	PYTHONPATH=src python benchmarks/bench_analytic.py
 
 # Vector engine gate alone (also runs as part of bench-quick): scalar
-# vs batch l1.simulate span times and the warm jobs=1 sweep wall time,
-# bit-identical across engines, BENCH_PR6.json (docs/vectorized.md).
+# vs batch L1 simulation times (bit-identical) and the warm jobs=1 sweep
+# wall time against the pinned scalar anchor, BENCH_PR6.json
+# (docs/vectorized.md).
 vector-bench:
 	PYTHONPATH=src python benchmarks/bench_vector.py
 
-# Vector differ stage on a small corpus: the batch engines of
-# repro.sim.vector vs their scalar counterparts, first-diverging-event
-# reports (`repro check --replay vector:SEED` reproduces one).
+# Vector differ stage on a small corpus: the L1 and sampled-L2 batch
+# engines of repro.sim.vector vs their scalar counterparts,
+# first-diverging-event reports (`repro check --replay vector:SEED`
+# reproduces one).
 vector-smoke:
 	PYTHONPATH=src python -m repro check --seeds 50 --no-registry --stages vector
 
@@ -77,6 +79,17 @@ zoo-bench:
 # divergence; `repro check --replay STAGE:SEED` reproduces one.
 check-diff:
 	PYTHONPATH=src python -m repro check --seeds 50
+
+# The stream-buffer engine vs its golden oracle on a 200-seed corpus:
+# per-event and bulk run() (both of its loops), hybrid stacks with a
+# trailing stream member, and the batch cache engines; then the streams
+# stage again with REPRO_CHECK=1, so every lane operation runs the
+# flat-window structural invariants.
+streams-diff:
+	PYTHONPATH=src python -m repro check --seeds 200 --no-registry \
+		--stages streams,hybrid,vector
+	REPRO_CHECK=1 PYTHONPATH=src python -m repro check --seeds 200 --no-registry \
+		--stages streams
 
 # Extended corpus for pre-release confidence: more seeds, longer traces,
 # and the runtime invariants armed throughout.

@@ -36,8 +36,7 @@ from repro.baselines import (
 )
 from repro.caches import Cache, CacheConfig, MissTrace, SplitL1
 from repro.core import (
-    StreamBuffer,
-    StreamBufferBank,
+    Lookup,
     StreamConfig,
     StreamPrefetcher,
     StreamStats,
@@ -70,6 +69,7 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "LocalityProfile",
+    "Lookup",
     "MemorySystem",
     "MissTrace",
     "OneBlockLookahead",
@@ -79,8 +79,6 @@ __all__ = [
     "RunResult",
     "ServiceLevel",
     "SplitL1",
-    "StreamBuffer",
-    "StreamBufferBank",
     "StreamConfig",
     "StreamPrefetcher",
     "StreamStats",

@@ -55,24 +55,20 @@ def sampled_hit_rate(
     Falls back to full simulation when the cache has fewer sets than the
     sampling factor would leave meaningful (at least 4 sampled sets).
 
-    The probe dispatches through the engine selector: with the default
-    ``vector`` engine (see :mod:`repro.sim.vector`) the sampling mask and
-    the guaranteed-hit collapse run vectorized, bit-identical to the
-    scalar :func:`~repro.caches.secondary.simulate_secondary`.
+    Where the batch engine of :mod:`repro.sim.vector` covers the
+    configuration, the sampling mask and the guaranteed-hit collapse run
+    vectorized, bit-identical to the scalar
+    :func:`~repro.caches.secondary.simulate_secondary`, which answers
+    everything else.
     """
-    from repro.sim.vector import (
-        ENGINE_VECTOR,
-        resolve_engine,
-        vector_simulate_secondary,
-    )
+    from repro.sim.vector import vector_simulate_secondary
 
     sample_every = plan.sample_every
     while sample_every > 1 and config.n_sets // sample_every < 4:
         sample_every //= 2
-    if resolve_engine() == ENGINE_VECTOR:
-        result = vector_simulate_secondary(miss_trace, config, sample_every=sample_every)
-        if result is not None:
-            return result
+    result = vector_simulate_secondary(miss_trace, config, sample_every=sample_every)
+    if result is not None:
+        return result
     return simulate_secondary(miss_trace, config, sample_every=sample_every)
 
 

@@ -29,7 +29,7 @@ Three stages:
   :class:`~repro.check.oracle.RefStreamPrefetcher`, within each
   prediction's declared error bound;
 * :func:`diff_vector` — the batch engines of :mod:`repro.sim.vector`
-  (L1, stream replay, sampled L2 probe) vs their scalar counterparts on
+  (L1, sampled L2 probe) vs their scalar counterparts on
   configurations coerced into the vector support envelope
   (``repro check --replay vector:SEED``);
 * :func:`diff_victim` / :func:`diff_misscache` / :func:`diff_hybrid` —
@@ -52,14 +52,12 @@ import numpy as np
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
 from repro.caches.secondary import simulate_secondary
 from repro.check import mech_oracle, oracle
-from repro.core.bank import Lookup
 from repro.core.config import StreamConfig, StrideDetector
-from repro.core.prefetcher import StreamPrefetcher
+from repro.core.prefetcher import Lookup, StreamPrefetcher, StreamStats
 from repro.mechanisms import MechanismConfig, build_mechanism
 from repro.sim.runner import simulate_l1
 from repro.sim.vector import (
     replay_secondary,
-    vector_replay_streams,
     vector_simulate_cache,
     vector_simulate_secondary,
 )
@@ -448,7 +446,7 @@ _OUTCOME_BY_LOOKUP = {
 
 def _run_optimized_streams_per_event(
     config: StreamConfig, miss_trace: MissTrace
-) -> Tuple[List[str], "StreamPrefetcher"]:
+) -> Tuple[List[str], StreamStats]:
     """Drive the optimized prefetcher event by event, recording outcomes."""
     prefetcher = StreamPrefetcher(config)
     outcomes: List[str] = []
@@ -461,8 +459,7 @@ def _run_optimized_streams_per_event(
         else:
             result = prefetcher.handle_miss(addr, is_ifetch=kind == ifetch)
             outcomes.append(_OUTCOME_BY_LOOKUP[result])
-    prefetcher.finalize()
-    return outcomes, prefetcher
+    return outcomes, prefetcher.finalize()
 
 
 def _stats_counter_pairs(stats, ref: dict) -> List[Tuple[str, object, object]]:
@@ -510,8 +507,7 @@ def diff_streams(seed: int, n_events: int = 2000) -> Optional[Divergence]:
     miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
     context = f"config={config}"
 
-    opt_outcomes, prefetcher = _run_optimized_streams_per_event(config, miss_trace)
-    opt_stats = prefetcher.stats
+    opt_outcomes, opt_stats = _run_optimized_streams_per_event(config, miss_trace)
 
     ref = oracle.RefStreamPrefetcher(config).run(
         miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
@@ -645,7 +641,7 @@ def _diff_mechanism(
         return divergence
 
     # The store/sweep dispatcher — two-phase residual for hybrids.
-    replayed = replay_secondary(config, miss_trace, engine="scalar")
+    replayed = replay_secondary(config, miss_trace)
     return _compare_counters(
         stage,
         seed,
@@ -870,30 +866,12 @@ def diff_analytic_streams(seed: int, n_events: int = 2000) -> Optional[Divergenc
     return None
 
 
-_STREAM_COUNTER_NAMES = (
-    "demand_misses",
-    "stream_hits",
-    "in_flight_matches",
-    "ifetch_misses",
-    "writebacks",
-    "invalidations",
-    "prefetches_issued",
-    "prefetches_used",
-    "allocations",
-    "unit_filter_hits",
-    "unit_filter_misses",
-    "detector_hits",
-)
-
-
 def diff_vector(seed: int, n_events: int = 2500) -> Optional[Divergence]:
     """One seeded vector-vs-scalar engine check (:mod:`repro.sim.vector`).
 
-    Three sub-checks share the seed: the batch L1 engine vs the scalar
+    Two sub-checks share the seed: the batch L1 engine vs the scalar
     :class:`~repro.caches.cache.Cache` over a random write-back,
-    write-allocate geometry; the flat stream-replay engine vs
-    :meth:`~repro.core.prefetcher.StreamPrefetcher.run` over a random
-    non-partitioned window config; and the sampled vector L2 probe vs
+    write-allocate geometry, and the sampled vector L2 probe vs
     :func:`~repro.caches.secondary.simulate_secondary`.  Random
     configurations are coerced *into* each engine's support envelope —
     anything outside it falls back to scalar in production, so only the
@@ -947,51 +925,9 @@ def diff_vector(seed: int, n_events: int = 2500) -> Optional[Divergence]:
     if divergence is not None:
         return divergence
 
-    # -- streams: flat replay engine vs StreamPrefetcher.run -----------
-    stream_config = replace(
-        random_stream_config(rng),
-        partitioned=False,
-        lookup_depth=1,
-        min_lead=0,
-        stride_detector=StrideDetector.NONE,
-    )
-    miss_trace = random_miss_trace(rng, n_events, block_bits=stream_config.block_bits)
-    context = f"stream config={stream_config}"
-    vec_streams = vector_replay_streams(stream_config, miss_trace, force=True)
-    if vec_streams is None:
-        return Divergence(
-            stage="vector",
-            seed=seed,
-            what="stream engine gate",
-            optimized="None (engine refused a supported configuration)",
-            expected="StreamStats",
-            context=context,
-        )
-    ref_streams = StreamPrefetcher(stream_config).run(miss_trace)
-    pairs: List[Tuple[str, object, object]] = [
-        (f"streams.{name}", getattr(vec_streams, name), getattr(ref_streams, name))
-        for name in _STREAM_COUNTER_NAMES
-    ]
-    pairs += [
-        (
-            "streams.lengths.hits_by_bucket",
-            dict(vec_streams.lengths.hits_by_bucket),
-            dict(ref_streams.lengths.hits_by_bucket),
-        ),
-        (
-            "streams.lengths.streams_by_bucket",
-            dict(vec_streams.lengths.streams_by_bucket),
-            dict(ref_streams.lengths.streams_by_bucket),
-        ),
-        (
-            "streams.lengths.zero_length_streams",
-            vec_streams.lengths.zero_length_streams,
-            ref_streams.lengths.zero_length_streams,
-        ),
-    ]
-    divergence = _compare_counters("vector", seed, pairs, context)
-    if divergence is not None:
-        return divergence
+    # Stream replay has a single engine, checked against the oracle by
+    # the ``streams`` stage; its miss-event generator feeds the L2 probe.
+    miss_trace = random_miss_trace(rng, n_events)
 
     # -- secondary: sampled vector probe vs simulate_secondary ---------
     l2_config = replace(random_cache_config(rng), write_back=True, write_allocate=True)

@@ -26,7 +26,6 @@ accept ``--trace-out FILE`` (Perfetto-loadable span trace) and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -34,7 +33,6 @@ from typing import List, Optional
 from repro.core.config import StreamConfig, StrideDetector
 from repro.reporting import experiments
 from repro.sim.runner import MissTraceCache, run_result
-from repro.sim.vector import ENGINE_ENV_VAR, ENGINES
 from repro.trace.stats import profile_trace
 from repro.trace.store import TraceStore
 from repro.workloads import all_benchmarks, get_workload
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "axis (e.g. streams victim:16 misscache:16 victim:16+streams); "
         "see docs/mechanisms.md",
     )
-    _add_engine_flags(sweep)
+    _add_sweep_flags(sweep)
     _add_obs_flags(sweep)
 
     exhibit = sub.add_parser("exhibit", help="regenerate a paper table/figure")
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to these benchmarks (default: the paper's set)",
     )
-    _add_engine_flags(exhibit)
+    _add_sweep_flags(exhibit)
     _add_obs_flags(exhibit)
 
     profile = sub.add_parser("profile", help="show trace statistics of a workload model")
@@ -410,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_flags(command: argparse.ArgumentParser) -> None:
+def _add_sweep_flags(command: argparse.ArgumentParser) -> None:
     """The sweep-engine knobs shared by ``sweep`` and ``exhibit``."""
     command.add_argument(
         "--jobs",
@@ -424,14 +422,6 @@ def _add_engine_flags(command: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="persistent miss-trace/result store directory (reused across runs)",
-    )
-    command.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="replay engine: 'vector' (batch, the default) or 'scalar' "
-        "(per-event reference loops); exported as REPRO_ENGINE so worker "
-        "processes inherit it (see docs/vectorized.md)",
     )
 
 
@@ -1269,10 +1259,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        # Through the environment rather than plumbed arguments so that
-        # spawn-based worker processes make the same engine choice.
-        os.environ[ENGINE_ENV_VAR] = args.engine
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

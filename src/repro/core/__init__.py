@@ -5,14 +5,12 @@ from repro.core.bandwidth import (
     extra_bandwidth_estimate,
     extra_bandwidth_measured,
 )
-from repro.core.bank import Lookup, StreamBufferBank
 from repro.core.config import StreamConfig, StrideDetector
 from repro.core.filters import UnitStrideFilter
 from repro.core.lengths import LENGTH_BUCKETS, StreamLengthHistogram, bucket_label, bucket_of
 from repro.core.min_delta import MinDeltaDetector
 from repro.core.nonunit import CzoneFilter, StrideHit
-from repro.core.prefetcher import StreamPrefetcher, StreamStats
-from repro.core.stream_buffer import StreamBuffer, StreamEntry
+from repro.core.prefetcher import Lookup, StreamPrefetcher, StreamStats
 from repro.core.stride_fsm import FsmState, StrideFsm
 
 __all__ = [
@@ -22,10 +20,7 @@ __all__ = [
     "LENGTH_BUCKETS",
     "Lookup",
     "MinDeltaDetector",
-    "StreamBuffer",
-    "StreamBufferBank",
     "StreamConfig",
-    "StreamEntry",
     "StreamLengthHistogram",
     "StreamPrefetcher",
     "StreamStats",

@@ -13,8 +13,8 @@ Two production formulations exist and are proven equivalent:
 * **two-phase residual** — each front member filters the trace via
   ``run_filter`` and the next member replays the residual (unserviced
   demand misses plus all write-backs, original order); used by
-  ``replay_secondary`` so a trailing stream member can run on the
-  vectorized flat-window engine.
+  ``replay_secondary`` so a trailing stream member replays through
+  :meth:`StreamPrefetcher.run`'s bulk loop.
 
 They agree because a front member's state never depends on the members
 behind it, and the residual preserves exactly the event subsequence a

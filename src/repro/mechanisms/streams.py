@@ -21,7 +21,7 @@ def mech_stats_from_streams(config: MechanismConfig, stream_stats: StreamStats) 
     """Wrap a finished :class:`StreamStats` as mechanism statistics.
 
     Used both by the adapter's ``finalize`` and by the replay dispatcher
-    when the vectorized flat-window engine produced the stream stats — the
+    when :meth:`StreamPrefetcher.run` produced the stream stats — the
     wrapping must be identical either way for store round-trips to be
     bit-exact.
     """

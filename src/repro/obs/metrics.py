@@ -1,8 +1,7 @@
 """Shared counter/gauge/histogram registry with mergeable snapshots.
 
-This is the whole system's metrics substrate.  It began life as
-``repro.service.metrics`` (which now re-exports it unchanged), but every
-layer wants the same three instrument shapes — monotonic counters
+This is the whole system's metrics substrate.  It began life in the
+service, but every layer wants the same three instrument shapes — monotonic counters
 (cells executed, store hits, bytes written), point-in-time gauges
 (queue depth) and latency histograms with quantiles — dependency-free
 and cheap enough to bump on every event.  Promoting it out of the

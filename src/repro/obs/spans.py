@@ -73,6 +73,9 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
+    def set(self, **attrs) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -90,6 +93,10 @@ class _Span:
     def __enter__(self) -> "_Span":
         self._start_ns = time.perf_counter_ns()
         return self
+
+    def set(self, **attrs) -> None:
+        """Add attributes known only once the operation has run."""
+        self.args = {**(self.args or {}), **attrs}
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end_ns = time.perf_counter_ns()

@@ -16,7 +16,7 @@ from repro.service.api import (
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient, arequest
 from repro.service.coalesce import Coalescer
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import (
     AdmissionQueue,
     DeadlineExceeded,

@@ -25,17 +25,14 @@ from repro.sim.sweep import (
     sweep_n_streams,
 )
 from repro.sim.vector import (
-    ENGINES,
+    replay_secondary,
     replay_streams,
-    resolve_engine,
-    vector_replay_streams,
     vector_simulate_cache,
     vector_simulate_secondary,
 )
 from repro.sim.system import MemorySystem, ServiceLevel, SystemStats
 
 __all__ = [
-    "ENGINES",
     "L1Summary",
     "MatchResult",
     "MemorySystem",
@@ -52,9 +49,9 @@ __all__ = [
     "format_size",
     "grid_stats",
     "min_matching_l2_size",
+    "replay_secondary",
     "replay_streams",
     "replicate",
-    "resolve_engine",
     "resolve_workload_ref",
     "run_grid",
     "run_result",
@@ -64,7 +61,6 @@ __all__ = [
     "sweep_czone_bits",
     "sweep_depth",
     "sweep_n_streams",
-    "vector_replay_streams",
     "vector_simulate_cache",
     "vector_simulate_secondary",
 ]

@@ -37,13 +37,7 @@ from repro.core.prefetcher import StreamStats
 from repro.mem.address import AddressSpace
 from repro.mechanisms import MechanismConfig, MechStats
 from repro.sim.results import L1Summary, RunResult
-from repro.sim.vector import (
-    ENGINE_VECTOR,
-    replay_secondary,
-    replay_streams,
-    resolve_engine,
-    vector_simulate_cache,
-)
+from repro.sim.vector import replay_secondary, replay_streams, vector_simulate_cache
 from repro.trace.compress import compress_consecutive
 from repro.trace.events import AccessKind, Trace
 from repro.trace.store import TraceStore, canonical_scale, trace_digest
@@ -135,7 +129,6 @@ class MissTraceCache:
         store: Optional[TraceStore] = None,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         hooks: Optional[Callable[[str], None]] = None,
-        engine: Optional[str] = None,
     ):
         if max_entries is not None and max_entries <= 0:
             raise ValueError(f"max_entries must be positive or None, got {max_entries}")
@@ -144,10 +137,6 @@ class MissTraceCache:
         self.store = store
         self.max_entries = max_entries
         self.hooks = hooks
-        # Engine choice never enters cache keys or store digests: the
-        # vector engine is bit-identical to the scalar one, so entries
-        # are interchangeable (None = resolve per call via REPRO_ENGINE).
-        self.engine = engine
         self._entries: "OrderedDict[_Key, Tuple[MissTrace, L1Summary]]" = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
@@ -196,9 +185,7 @@ class MissTraceCache:
         if instance is None:
             instance = get_workload(name, scale=scale, seed=seed)
         started = time.perf_counter()
-        result = simulate_l1(
-            instance, self.l1_config, keep_pcs=self.keep_pcs, engine=self.engine
-        )
+        result = simulate_l1(instance, self.l1_config, keep_pcs=self.keep_pcs)
         computed_s = time.perf_counter() - started
         if self.store is not None:
             self.store.save_trace(digest, *result)
@@ -266,25 +253,27 @@ def simulate_l1(
     workload: Workload,
     l1_config: Optional[CacheConfig] = None,
     keep_pcs: bool = False,
-    engine: Optional[str] = None,
 ) -> Tuple[MissTrace, L1Summary]:
     """Run a workload's trace through the primary cache.
 
-    With the default ``vector`` engine, data-only traces through a
-    write-back write-allocate cache run through the batch engine of
-    :mod:`repro.sim.vector` (set-local run collapse + residue replay,
-    bit-identical to the scalar cache).  The scalar engine uses a single
-    D-cache with exact consecutive-same-block compression (see
-    :mod:`repro.trace.compress`); other write policies and traces
-    containing instruction fetches simulate the raw trace.  Synthetic
-    PCs are stripped unless ``keep_pcs`` (they are only needed by
-    PC-indexed baselines and disable the L1 fast paths).
+    Traces with instruction fetches run through a split I+D L1.
+    Data-only traces through a write-back write-allocate cache run
+    through the batch engine of :mod:`repro.sim.vector` (set-local run
+    collapse + residue replay, bit-identical to the scalar cache).
+    Everything else — other write policies, PC-carrying traces and
+    ``REPRO_CHECK=1`` runs — uses the scalar :class:`Cache`, with exact
+    consecutive-same-block compression (see :mod:`repro.trace.compress`)
+    under write-back + write-allocate.  Synthetic PCs are stripped
+    unless ``keep_pcs`` (they are only needed by PC-indexed baselines
+    and disable the batch engine).  The ``l1.simulate`` span records the
+    path that ran as its ``engine`` attribute: ``split``, ``vector`` or
+    ``scalar``.
     """
     config = l1_config if l1_config is not None else CacheConfig.paper_l1()
-    engine = resolve_engine(engine)
     started = time.perf_counter()
-    with get_tracer().span("l1.simulate", workload=workload.name, engine=engine):
-        result = _simulate_l1(workload, config, keep_pcs, engine)
+    with get_tracer().span("l1.simulate", workload=workload.name) as span:
+        path, result = _simulate_l1(workload, config, keep_pcs)
+        span.set(engine=path)
     engine_registry().histogram(
         "engine_l1_sim_ms", "wall time of one L1 miss-trace simulation"
     ).observe(1e3 * (time.perf_counter() - started))
@@ -292,8 +281,9 @@ def simulate_l1(
 
 
 def _simulate_l1(
-    workload: Workload, config: CacheConfig, keep_pcs: bool, engine: str = ENGINE_VECTOR
-) -> Tuple[MissTrace, L1Summary]:
+    workload: Workload, config: CacheConfig, keep_pcs: bool
+) -> Tuple[str, Tuple[MissTrace, L1Summary]]:
+    """The L1 simulation plus the name of the path that ran it."""
     trace = workload.trace()
     has_ifetch = trace.has_ifetch  # cached on the memoized trace instance
     if trace.has_pcs and not keep_pcs:
@@ -309,17 +299,16 @@ def _simulate_l1(
             data_set_bytes=workload.data_set_bytes,
             ifetch_misses=split.icache.stats.misses,
         )
-        return miss_trace, summary
-    if engine == ENGINE_VECTOR:
-        vectorized = vector_simulate_cache(config, trace)
-        if vectorized is not None:
-            miss_trace, stats = vectorized
-            summary = L1Summary.from_stats(
-                stats,
-                trace_length=len(trace),
-                data_set_bytes=workload.data_set_bytes,
-            )
-            return miss_trace, summary
+        return "split", (miss_trace, summary)
+    vectorized = vector_simulate_cache(config, trace)
+    if vectorized is not None:
+        miss_trace, stats = vectorized
+        summary = L1Summary.from_stats(
+            stats,
+            trace_length=len(trace),
+            data_set_bytes=workload.data_set_bytes,
+        )
+        return "vector", (miss_trace, summary)
     cache = Cache(config)
     if config.write_back and config.write_allocate:
         space = AddressSpace(block_size=config.block_size)
@@ -336,7 +325,7 @@ def _simulate_l1(
         trace_length=len(trace),
         data_set_bytes=workload.data_set_bytes,
     )
-    return miss_trace, summary
+    return "scalar", (miss_trace, summary)
 
 
 _DEFAULT_CACHE: Optional[MissTraceCache] = None
@@ -359,19 +348,17 @@ def run_secondary(
     scale: float = 1.0,
     seed: int = 0,
     cache: Optional[MissTraceCache] = None,
-    engine: Optional[str] = None,
 ) -> MechStats:
     """Simulate any secondary mechanism over a workload's miss stream.
 
     The mechanism-generic dispatcher behind :func:`run_streams`: the
     cached miss trace replays through the mechanism described by
     ``mechanism`` (streams, victim cache, miss cache, or a hybrid stack)
-    with engine dispatch handled by
-    :func:`~repro.sim.vector.replay_secondary`.
+    through :func:`~repro.sim.vector.replay_secondary`.
     """
     cache = cache if cache is not None else default_cache()
     miss_trace, _ = cache.get(workload, scale=scale, seed=seed)
-    return replay_secondary(mechanism, miss_trace, engine=engine)
+    return replay_secondary(mechanism, miss_trace)
 
 
 def run_streams(
@@ -380,7 +367,6 @@ def run_streams(
     scale: float = 1.0,
     seed: int = 0,
     cache: Optional[MissTraceCache] = None,
-    engine: Optional[str] = None,
 ) -> StreamStats:
     """Simulate one stream configuration over a workload's miss stream.
 
@@ -393,7 +379,6 @@ def run_streams(
         scale=scale,
         seed=seed,
         cache=cache,
-        engine=engine,
     )
     assert stats.streams is not None
     return stats.streams

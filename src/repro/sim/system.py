@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.caches.cache import Cache, CacheConfig
-from repro.core.bank import Lookup
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher, StreamStats
+from repro.core.prefetcher import Lookup, StreamPrefetcher, StreamStats
 from repro.trace.events import Access, AccessKind, Trace
 
 __all__ = ["ServiceLevel", "SystemStats", "MemorySystem"]
@@ -116,5 +115,6 @@ class MemorySystem:
         return self.stats
 
     def stream_stats(self) -> StreamStats:
-        """Finalised stream-buffer statistics."""
+        """A snapshot of the stream-buffer statistics (the run continues
+        unchanged)."""
         return self.prefetcher.finalize()

@@ -1,13 +1,14 @@
-"""Vectorized batch replay engines (scalar/vector engine selector).
+"""Vectorized batch engines for the primary and sampled secondary caches,
+plus the secondary-replay dispatch.
 
-The scalar simulators in :mod:`repro.caches.cache` and
-:mod:`repro.core.prefetcher` step access-by-access through Python loops;
-profiling (``l1.simulate`` / ``stream.replay`` spans, BENCH_PR5) shows
-those loops dominate every executed sweep cell.  This module rebuilds the
-hot paths as batch engines that stay **bit-identical** to the scalar
-code — same miss events in the same order, same statistics, same RNG
-draws — so results are interchangeable and the differential harness can
-prove equivalence (the ``vector`` stage of ``repro check``).
+The scalar :class:`~repro.caches.cache.Cache` steps access-by-access
+through a Python loop; profiling (``l1.simulate`` spans) shows that
+loop dominating every executed sweep cell.  This module
+rebuilds the cache hot paths as batch engines that stay
+**bit-identical** to the scalar code — same miss events in the same
+order, same statistics, same RNG draws — so results are interchangeable
+and the differential harness can prove equivalence (the ``vector`` stage
+of ``repro check``).
 
 Design (see docs/vectorized.md for the full argument):
 
@@ -25,36 +26,29 @@ Design (see docs/vectorized.md for the full argument):
   strictly stronger than the *globally* consecutive collapse of
   :func:`repro.trace.compress.compress_consecutive` and subsumes it.
 
-* **Flat stream replay.**  With the paper's bank semantics (head-only
-  lookup, ``min_lead`` 0, unit strides, unified lanes) a stream's FIFO is
-  always the contiguous block window ``[next - depth, next)``, so the
-  per-entry ``StreamEntry`` objects and per-stream list shuffling of
-  :class:`StreamBufferBank` can be replaced by a few ints per stream plus
-  one dict mapping head blocks to their multiplicity for O(1) miss
-  detection.  Configurations outside that family (partitioned banks,
-  ``lookup_depth`` > 1, latency model, stride detectors) fall back to the
-  scalar prefetcher.
-
 * **Sampled L2 probes.**  :func:`vector_simulate_secondary` applies the
   set-sampling filter as one vectorized mask (the scalar loop pays full
   loop cost even for skipped accesses) and then runs the same set-local
   collapse; only hit/miss membership matters for the L2's counters, so
   the residue loop is even leaner than L1's.
 
-Engine choice: callers pass ``engine="scalar"|"vector"`` or leave it to
-:func:`resolve_engine`, which reads the ``REPRO_ENGINE`` environment
-variable (inherited by sweep worker processes) and defaults to
-``vector``.  Under ``REPRO_CHECK=1`` the vector engines stand down in
-favour of the scalar code so the per-operation runtime invariants keep
-their coverage; the differ's ``vector`` stage drives the batch engines
-directly (``force=True``) so they stay differentially tested even then.
+Each batch engine answers None outside its domain (other write
+policies, PC-carrying traces) and the caller falls back to the scalar
+cache.  Under ``REPRO_CHECK=1`` they stand down too, so the scalar
+cache's per-access invariants keep their coverage; the differ's
+``vector`` stage drives them directly (``force=True``) so they stay
+differentially tested even then.
+
+Stream buffers have a single engine, the flat-window
+:class:`~repro.core.prefetcher.StreamPrefetcher`; :func:`replay_streams`
+and :func:`replay_secondary` are the entry points every layer replays a
+miss trace through.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -62,9 +56,7 @@ import numpy as np
 from repro.caches.cache import CacheConfig, CacheStats, MissEventKind, MissTrace
 from repro.caches.secondary import SecondaryResult
 from repro.check import invariants as _inv
-from repro.core.config import StreamConfig, StrideDetector
-from repro.core.filters import UnitStrideFilter
-from repro.core.lengths import StreamLengthHistogram, bucket_of
+from repro.core.config import StreamConfig
 from repro.core.prefetcher import StreamPrefetcher, StreamStats
 from repro.trace.events import AccessKind, Trace
 
@@ -72,44 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mechanisms import MechanismConfig, MechStats
 
 __all__ = [
-    "ENGINE_SCALAR",
-    "ENGINE_VECTOR",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
     "cache_vector_supported",
     "vector_simulate_cache",
-    "streams_vector_supported",
-    "vector_replay_streams",
     "replay_streams",
     "replay_secondary",
     "secondary_vector_supported",
     "vector_simulate_secondary",
 ]
 
-ENGINE_SCALAR = "scalar"
-ENGINE_VECTOR = "vector"
-ENGINES = (ENGINE_SCALAR, ENGINE_VECTOR)
-
-#: Environment override for the default engine; sweep workers inherit it.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-DEFAULT_ENGINE = ENGINE_VECTOR
-
 _WRITE = int(AccessKind.WRITE)
 _WB = int(MissEventKind.WRITEBACK)
-_IFETCH_MISS = int(MissEventKind.IFETCH_MISS)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine choice: explicit arg > ``REPRO_ENGINE`` > vector.
-
-    Raises:
-        ValueError: for an unknown engine name.
-    """
-    choice = engine if engine else os.environ.get(ENGINE_ENV_VAR, "") or DEFAULT_ENGINE
-    if choice not in ENGINES:
-        raise ValueError(f"unknown engine {choice!r}; expected one of {ENGINES}")
-    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -345,270 +309,31 @@ def _residue_ordered(
 
 
 # ---------------------------------------------------------------------------
-# Stream-buffer replay
+# Secondary replay dispatch
 # ---------------------------------------------------------------------------
 
 
-def streams_vector_supported(config: StreamConfig) -> bool:
-    """Is ``config`` inside the flat engine's family?
-
-    The flat engine models exactly the paper's bank: unified lanes,
-    head-only comparison, zero-latency prefetches and unit strides (no
-    stride detector), which keeps every stream's FIFO a contiguous block
-    window.  Everything else falls back to the scalar prefetcher.
-    """
-    return (
-        not config.partitioned
-        and config.lookup_depth <= 1
-        and config.min_lead == 0
-        and config.stride_detector == StrideDetector.NONE
-        and not _inv.ENABLED
-    )
-
-
-def vector_replay_streams(
-    config: StreamConfig, miss_trace: MissTrace, force: bool = False
-) -> Optional[StreamStats]:
-    """Flat-state stream-buffer replay, bit-identical to the scalar run.
-
-    Returns None when ``config`` needs the full scalar machinery
-    (``force`` only bypasses the ``REPRO_CHECK`` stand-down).
-
-    Raises:
-        ValueError: on block-geometry mismatch, like the scalar run.
-    """
-    if not (
-        not config.partitioned
-        and config.lookup_depth <= 1
-        and config.min_lead == 0
-        and config.stride_detector == StrideDetector.NONE
-    ):
-        return None
-    if _inv.ENABLED and not force:
-        return None
-    if miss_trace.block_bits != config.block_bits:
-        raise ValueError(
-            f"miss trace block_bits {miss_trace.block_bits} != "
-            f"config block_bits {config.block_bits}"
-        )
-
-    kinds = miss_trace.kinds
-    has_writebacks = miss_trace.has_writebacks
-    n_events = len(miss_trace)
-    wb_count = miss_trace.n_writebacks if has_writebacks else 0
-    ifetch_count = (
-        int(np.count_nonzero(kinds == _IFETCH_MISS))
-        if miss_trace.has_ifetch_misses
-        else 0
-    )
-    block_col = (miss_trace.addrs >> config.block_bits).tolist()
-
-    n_streams = config.n_streams
-    depth = config.depth
-    unit_filter = (
-        UnitStrideFilter(config.unit_filter_entries) if config.has_unit_filter else None
-    )
-    observe = unit_filter.observe if unit_filter is not None else None
-
-    # Flat per-stream state: the FIFO of stream i is always the window
-    # [nxt[i] - depth, nxt[i]) of block addresses, minus the blocks in
-    # invs[i] (invalidated by write-backs).  heads[i] caches the head
-    # block (None when invalid), and head_count is a multiset of the
-    # valid head blocks so a bank miss is a single dict probe.
-    nxt = [0] * n_streams
-    active = [False] * n_streams
-    hits_since = [0] * n_streams
-    invs: List[Optional[set]] = [None] * n_streams
-    heads: List[Optional[int]] = [None] * n_streams
-    head_count: dict = {}
-    lru_order = list(range(n_streams))
-
-    hits = 0
-    issued = 0
-    used = 0
-    allocations = 0
-    invalidations = 0
-    finished_lengths: List[int] = []
-
-    head_count_get = head_count.get
-    if has_writebacks:
-        # Mixed stream: write-backs interleave with demand misses.
-        for block, kind in zip(block_col, kinds.tolist()):
-            if kind == _WB:
-                # Invalidate stale copies in every stream window.
-                for i in range(n_streams):
-                    if active[i] and nxt[i] - depth <= block < nxt[i]:
-                        inv = invs[i]
-                        if inv is None:
-                            inv = invs[i] = set()
-                        elif block in inv:
-                            continue
-                        inv.add(block)
-                        invalidations += 1
-                        if heads[i] == block:
-                            heads[i] = None
-                            count = head_count[block]
-                            if count == 1:
-                                del head_count[block]
-                            else:
-                                head_count[block] = count - 1
-                continue
-            count = head_count_get(block)
-            if count:
-                # Head hit on the lowest-indexed matching stream, like
-                # the scalar bank's heads.index scan.
-                i = heads.index(block)
-                hits += 1
-                used += 1
-                issued += 1  # the consumed head's replacement prefetch
-                if count == 1:
-                    del head_count[block]
-                else:
-                    head_count[block] = count - 1
-                hits_since[i] += 1
-                new_head = nxt[i] - depth + 1
-                nxt[i] += 1
-                inv = invs[i]
-                if inv is not None and new_head in inv:
-                    heads[i] = None
-                else:
-                    heads[i] = new_head
-                    head_count[new_head] = head_count_get(new_head, 0) + 1
-                lru_order.remove(i)
-                lru_order.append(i)
-                continue
-            # Bank miss: the unit filter (if any) gates allocation.
-            if observe is not None and not observe(block):
-                continue
-            i = lru_order.pop(0)
-            if active[i]:
-                finished_lengths.append(hits_since[i])
-                old_head = heads[i]
-                if old_head is not None:
-                    count = head_count[old_head]
-                    if count == 1:
-                        del head_count[old_head]
-                    else:
-                        head_count[old_head] = count - 1
-            active[i] = True
-            hits_since[i] = 0
-            invs[i] = None
-            nxt[i] = block + 1 + depth
-            heads[i] = block + 1
-            head_count[block + 1] = head_count_get(block + 1, 0) + 1
-            issued += depth
-            allocations += 1
-            lru_order.append(i)
-    else:
-        # Pure demand stream (ifetch misses included: the unified lane
-        # treats them like data misses) — no per-event kind dispatch, and
-        # no invalidations means the per-stream invalid sets stay empty.
-        for block in block_col:
-            count = head_count_get(block)
-            if count:
-                i = heads.index(block)
-                hits += 1
-                used += 1
-                issued += 1
-                if count == 1:
-                    del head_count[block]
-                else:
-                    head_count[block] = count - 1
-                hits_since[i] += 1
-                new_head = nxt[i] - depth + 1
-                nxt[i] += 1
-                heads[i] = new_head
-                head_count[new_head] = head_count_get(new_head, 0) + 1
-                lru_order.remove(i)
-                lru_order.append(i)
-                continue
-            if observe is not None and not observe(block):
-                continue
-            i = lru_order.pop(0)
-            if active[i]:
-                finished_lengths.append(hits_since[i])
-                old_head = heads[i]
-                if old_head is not None:
-                    count = head_count[old_head]
-                    if count == 1:
-                        del head_count[old_head]
-                    else:
-                        head_count[old_head] = count - 1
-            active[i] = True
-            hits_since[i] = 0
-            nxt[i] = block + 1 + depth
-            heads[i] = block + 1
-            head_count[block + 1] = head_count_get(block + 1, 0) + 1
-            issued += depth
-            allocations += 1
-            lru_order.append(i)
-
-    for i in range(n_streams):
-        if active[i]:
-            finished_lengths.append(hits_since[i])
-
-    lengths = StreamLengthHistogram()
-    # The histogram is a bag, so bulk-record distinct lengths at once.
-    for length, times in Counter(finished_lengths).items():
-        if length == 0:
-            lengths.zero_length_streams += times
-        else:
-            bucket = bucket_of(length)
-            lengths.hits_by_bucket[bucket] += length * times
-            lengths.streams_by_bucket[bucket] += times
-
-    return StreamStats(
-        config=config,
-        demand_misses=n_events - wb_count,
-        stream_hits=hits,
-        in_flight_matches=0,
-        ifetch_misses=ifetch_count,
-        writebacks=wb_count,
-        invalidations=invalidations,
-        prefetches_issued=issued,
-        prefetches_used=used,
-        allocations=allocations,
-        unit_filter_hits=unit_filter.hits if unit_filter is not None else 0,
-        unit_filter_misses=unit_filter.misses if unit_filter is not None else 0,
-        detector_hits=0,
-        lengths=lengths,
-    )
-
-
-def replay_streams(
-    config: StreamConfig, miss_trace: MissTrace, engine: Optional[str] = None
-) -> StreamStats:
-    """Replay a miss trace through stream buffers with engine dispatch.
+def replay_streams(config: StreamConfig, miss_trace: MissTrace) -> StreamStats:
+    """Replay a miss trace through stream buffers.
 
     The single entry point used by the runner, the parallel sweep workers
-    and the Table 4 search: vector when selected and supported, scalar
-    :class:`StreamPrefetcher` otherwise.
+    and the Table 4 search; :meth:`StreamPrefetcher.run` picks its loop
+    from the configuration.
     """
-    if resolve_engine(engine) == ENGINE_VECTOR:
-        stats = vector_replay_streams(config, miss_trace)
-        if stats is not None:
-            return stats
     return StreamPrefetcher(config).run(miss_trace)
 
 
-def replay_secondary(
-    mechanism: "MechanismConfig", miss_trace: MissTrace, engine: Optional[str] = None
-) -> "MechStats":
+def replay_secondary(mechanism: "MechanismConfig", miss_trace: MissTrace) -> "MechStats":
     """Replay a miss trace through any secondary mechanism.
 
     The mechanism-generic sibling of :func:`replay_streams` and the single
-    entry point for the runner/sweep/compare layers.  Engine dispatch is
-    best-effort and never errors on unsupported shapes:
+    entry point for the runner/sweep/compare layers:
 
-    * ``streams`` delegates to :func:`replay_streams` (vector flat-window
-      when selected and supported, scalar otherwise);
-    * ``victim``/``misscache`` always run the scalar mechanism — the
-      flat-window engine cannot represent their buffer state, so the
-      vector engine simply stands down;
-    * ``hybrid`` runs front members scalar via the two-phase residual
-      composition and replays a trailing stream member with full engine
-      dispatch, so ``REPRO_ENGINE=vector`` + a hybrid config is served
-      (vector where possible, scalar elsewhere) rather than rejected.
+    * ``streams`` delegates to :func:`replay_streams`;
+    * ``victim``/``misscache`` run their mechanism's bulk loop;
+    * ``hybrid`` runs front members through the two-phase residual
+      composition and replays the trailing member (usually streams)
+      through this dispatcher.
     """
     from repro.mechanisms import build_mechanism
     from repro.mechanisms.hybrid import combine_member_stats
@@ -617,7 +342,7 @@ def replay_secondary(
     if mechanism.kind == "streams":
         assert mechanism.streams is not None
         return mech_stats_from_streams(
-            mechanism, replay_streams(mechanism.streams, miss_trace, engine=engine)
+            mechanism, replay_streams(mechanism.streams, miss_trace)
         )
     if mechanism.kind == "hybrid":
         member_stats = []
@@ -625,7 +350,7 @@ def replay_secondary(
         last = len(mechanism.members) - 1
         for i, member in enumerate(mechanism.members):
             if i == last:
-                member_stats.append(replay_secondary(member, residual, engine=engine))
+                member_stats.append(replay_secondary(member, residual))
             else:
                 stats, residual = build_mechanism(member).run_filter(residual)
                 member_stats.append(stats)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.caches.cache import Cache, CacheConfig, MissTrace
 from repro.check import invariants
-from repro.core.bank import StreamBufferBank
 from repro.core.config import StreamConfig
 from repro.core.prefetcher import StreamPrefetcher
 from repro.sim.runner import MissTraceCache, default_cache, resolve_workload_ref
@@ -62,13 +61,23 @@ class TestGatedChecks:
             cache.check_set_invariants(1)
 
     def test_bank_checks_pass_and_detect_corruption(self, checking):
-        bank = StreamBufferBank(n_streams=2, depth=2)
-        bank.allocate(10, 1)
-        bank.lookup(10)
-        bank.check_invariants()
-        bank._lru = [0, 0]  # corrupt the LRU list
+        pf = StreamPrefetcher(StreamConfig.jouppi(n_streams=2))
+        pf.handle_miss(9 << 6)  # every lane operation runs the checks
+        pf.handle_miss(10 << 6)
+        pf.handle_writeback(11 << 6)
+        lane = pf._data_lane
+        lane.lru[:] = [0, 0]  # corrupt the LRU list
         with pytest.raises(invariants.InvariantError, match="LRU"):
-            bank.check_invariants()
+            pf.handle_miss(500 << 6)
+        lane.lru[:] = [1, 0]
+        lane.check_invariants()
+        lane.head_count[12] = 2  # a head counted twice
+        with pytest.raises(invariants.InvariantError, match="head multiset"):
+            lane.check_invariants()
+        del lane.head_count[12]
+        lane.heads[1] = 77  # a head cache that is not the window head
+        with pytest.raises(invariants.InvariantError, match="head cache"):
+            lane.check_invariants()
 
     def test_prefetcher_run_checks_pass(self, checking):
         addrs = np.arange(64, dtype=np.int64) * 64

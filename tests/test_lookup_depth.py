@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.caches.cache import MissTrace
-from repro.core.bank import Lookup, StreamBufferBank
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
-from repro.core.stream_buffer import StreamBuffer
+from repro.core.prefetcher import Lookup, StreamPrefetcher
 
 
 def make_mt(blocks):
@@ -15,77 +13,78 @@ def make_mt(blocks):
     return MissTrace(arr, np.zeros(len(blocks), dtype=np.uint8), 6)
 
 
+def stream_at(start, depth=4, lookup_depth=4, n_streams=1):
+    """A prefetcher with one stream prefetching ``start``, ``start + 1``..."""
+    pf = StreamPrefetcher(
+        StreamConfig(n_streams=n_streams, depth=depth, lookup_depth=lookup_depth)
+    )
+    pf.handle_miss((start - 1) << 6)
+    return pf
+
+
+def blocks(pf):
+    return [block for block, _ in pf.window(0)]
+
+
 class TestStreamBufferFindSkip:
     def test_find_positions(self):
-        stream = StreamBuffer(depth=4)
-        stream.allocate(100, 1)
-        assert stream.find(100, lookup_depth=4) == 0
-        assert stream.find(102, lookup_depth=4) == 2
-        assert stream.find(102, lookup_depth=2) == -1  # beyond the window
-        assert stream.find(999, lookup_depth=4) == -1
+        assert stream_at(100).handle_miss(100 << 6) is Lookup.HIT
+        assert stream_at(100).handle_miss(102 << 6) is Lookup.HIT
+        # Beyond the comparator window: a miss, which reallocates.
+        assert stream_at(100, lookup_depth=2).handle_miss(102 << 6) is Lookup.MISS
+        assert stream_at(100).handle_miss(999 << 6) is Lookup.MISS
 
     def test_find_skips_invalid_entries(self):
-        stream = StreamBuffer(depth=4)
-        stream.allocate(100, 1)
-        stream.invalidate(101)
-        assert stream.find(101, lookup_depth=4) == -1
+        pf = stream_at(100)
+        pf.handle_writeback(101 << 6)
+        assert pf.handle_miss(101 << 6) is Lookup.MISS
 
     def test_find_inactive(self):
-        assert StreamBuffer(depth=2).find(0, 2) == -1
+        pf = StreamPrefetcher(StreamConfig(n_streams=1, depth=2, lookup_depth=2))
+        assert pf.handle_miss(0) is Lookup.MISS
 
     def test_skip_drops_head_entries(self):
-        stream = StreamBuffer(depth=4)
-        stream.allocate(100, 1)
-        stream.skip(2)
-        assert stream.head.block == 102
-        assert len(stream) == 2
+        pf = stream_at(100)
+        pf.handle_miss(102 << 6)  # skips 100, 101, then consumes 102
+        assert blocks(pf)[0] == 103
 
     def test_skip_bounds(self):
-        stream = StreamBuffer(depth=2)
-        stream.allocate(100, 1)
-        with pytest.raises(ValueError):
-            stream.skip(3)
-        with pytest.raises(ValueError):
-            stream.skip(-1)
+        # A match may sit at most lookup_depth - 1 entries behind the head.
+        assert stream_at(100, lookup_depth=2).handle_miss(101 << 6) is Lookup.HIT
+        assert stream_at(100, lookup_depth=2).handle_miss(102 << 6) is Lookup.MISS
 
     def test_refill_tops_up_to_depth(self):
-        stream = StreamBuffer(depth=4)
-        stream.allocate(100, 1)
-        stream.skip(3)
-        issued = stream.refill()
-        assert issued == [104, 105, 106]
-        assert len(stream) == 4
+        pf = stream_at(100)
+        pf.handle_miss(103 << 6)  # skips 3, refills 104-106, consumes 103 (+107)
+        assert blocks(pf) == [104, 105, 106, 107]
+        assert pf.finalize().prefetches_issued == 4 + 3 + 1
 
     def test_refill_inactive_raises(self):
-        with pytest.raises(RuntimeError):
-            StreamBuffer(depth=2).refill()
+        pf = StreamPrefetcher(StreamConfig(n_streams=2, depth=4, lookup_depth=4))
+        pf.handle_miss(0)  # the deep scan passes the inactive streams by
+        assert pf.finalize().prefetches_issued == 4  # the allocation only
 
 
 class TestBankDeepLookup:
     def test_head_only_misses_skipped_block(self):
-        bank = StreamBufferBank(n_streams=1, depth=4, lookup_depth=1)
-        bank.allocate(100, 1)
-        assert bank.lookup(102) is Lookup.MISS
+        assert stream_at(100, lookup_depth=1).handle_miss(102 << 6) is Lookup.MISS
 
     def test_deep_lookup_skips_ahead(self):
-        bank = StreamBufferBank(n_streams=1, depth=4, lookup_depth=4)
-        bank.allocate(100, 1)
-        assert bank.lookup(102) is Lookup.HIT
+        pf = stream_at(100)
+        assert pf.handle_miss(102 << 6) is Lookup.HIT
         # The stream advanced past the skipped entries.
-        assert bank.lookup(103) is Lookup.HIT
+        assert pf.handle_miss(103 << 6) is Lookup.HIT
 
     def test_skipped_prefetches_counted_as_waste(self):
-        bank = StreamBufferBank(n_streams=1, depth=4, lookup_depth=4)
-        bank.allocate(100, 1)
-        bank.lookup(102)  # skips 100, 101
-        bank.finalize()
-        assert bank.prefetches_useless >= 2
+        pf = stream_at(100)
+        pf.handle_miss(102 << 6)  # skips 100, 101
+        assert pf.finalize().bandwidth.useless_prefetches >= 2
 
     def test_lookup_depth_validation(self):
         with pytest.raises(ValueError):
-            StreamBufferBank(n_streams=1, depth=2, lookup_depth=3)
+            StreamConfig(n_streams=1, depth=2, lookup_depth=3)
         with pytest.raises(ValueError):
-            StreamBufferBank(n_streams=1, depth=2, lookup_depth=0)
+            StreamConfig(n_streams=1, depth=2, lookup_depth=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ the victim/miss-cache/hybrid semantics pinned by docs/mechanisms.md,
 the engine/runner/store/wire plumbing that threads mechanism identity
 through the stack, the shared protocol edge cases (empty, single-miss
 and all-writeback traces — also exercised through every
-``baselines/base.py`` prefetch baseline), and the vector-engine
-fallback regression for hybrid configs.
+``baselines/base.py`` prefetch baseline), and the replay dispatcher's
+agreement with the online paths for every mechanism shape.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class TestHybridStack:
             config = random_hybrid_config(rng)
             trace = random_miss_trace(rng, 1200, block_bits=config.block_bits)
             online = HybridStack(config).run(trace)
-            residual = replay_secondary(config, trace, engine="scalar")
+            residual = replay_secondary(config, trace)
             assert online == residual
 
     def test_stream_member_embeds_full_stats(self):
@@ -276,35 +276,27 @@ class TestProtocolEdgeCases:
 
 
 class TestEngineDispatch:
-    """Satellite: the engine dispatcher falls back cleanly for
-    mechanism shapes the vector flat-window engine cannot represent."""
+    """Satellite: the replay dispatcher of repro.sim.vector serves every
+    mechanism shape and agrees with the mechanisms' online event paths."""
 
-    def test_vector_env_hybrid_bit_identical(self, monkeypatch):
-        from repro.sim.vector import ENGINE_ENV_VAR
-
+    def test_vector_env_hybrid_bit_identical(self):
         config = parse_mechanism_spec("victim:4+streams")
         trace = random_miss_trace(random.Random(11), 1500)
-        scalar = replay_secondary(config, trace, engine="scalar")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
-        vector_env = replay_secondary(config, trace)
-        assert scalar == vector_env
+        assert replay_secondary(config, trace) == HybridStack(config).run(trace)
 
     @pytest.mark.parametrize("spec", ("victim:4", "misscache:4"))
-    def test_vector_engine_never_errors_on_buffers(self, spec, monkeypatch):
-        from repro.sim.vector import ENGINE_ENV_VAR
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
+    def test_vector_engine_never_errors_on_buffers(self, spec):
         config = parse_mechanism_spec(spec)
         trace = random_miss_trace(random.Random(5), 600)
         stats = replay_secondary(config, trace)
         assert stats.demand_misses == int(trace.n_misses)
 
     def test_explicit_vector_matches_scalar_for_streams_kind(self):
+        # The bulk loop behind replay_secondary vs the adapter's per-event
+        # handle_miss/handle_writeback path.
         config = MechanismConfig.for_streams(StreamConfig.filtered())
         trace = random_miss_trace(random.Random(4), 1500)
-        assert replay_secondary(config, trace, engine="vector") == replay_secondary(
-            config, trace, engine="scalar"
-        )
+        assert replay_secondary(config, trace) == build_mechanism(config).run(trace)
 
 
 class TestRunnerAndSweep:

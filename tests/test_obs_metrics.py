@@ -7,6 +7,8 @@ the same totals) and *loss-free* for counters and histogram count/sum
 snapshot shape is pinned separately in tests/test_service.py.
 """
 
+import importlib
+
 import pytest
 
 from repro.obs.metrics import (
@@ -131,8 +133,11 @@ class TestEngineRegistry:
         assert engine_registry() is engine_registry()
 
     def test_service_shim_reexports(self):
+        # The old ``repro.service.metrics`` shim is gone; the service
+        # package re-exports the one registry class from repro.obs.
         import repro.obs.metrics as obs_metrics
-        import repro.service.metrics as service_metrics
+        import repro.service as service
 
-        assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert service_metrics.Counter is obs_metrics.Counter
+        assert service.MetricsRegistry is obs_metrics.MetricsRegistry
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.metrics")

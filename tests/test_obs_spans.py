@@ -95,6 +95,48 @@ class TestDisabledPath:
         assert calls == [2, 3]
 
 
+class TestL1SpanPath:
+    """``l1.simulate`` records the path that actually ran as ``engine``."""
+
+    @staticmethod
+    def _span_engine(config, kinds):
+        import numpy as np
+
+        from repro.check.differ import _FixedWorkload
+        from repro.sim.runner import simulate_l1
+        from repro.trace.events import Trace
+
+        rng = np.random.default_rng(0)
+        trace = Trace(
+            rng.integers(0, 1 << 16, size=300, dtype=np.int64),
+            np.asarray(kinds, dtype=np.uint8),
+        )
+        tracer = set_tracing(True)
+        tracer.clear()
+        try:
+            simulate_l1(_FixedWorkload(trace), config)
+            events = [e for e in tracer.events() if e["name"] == "l1.simulate"]
+        finally:
+            set_tracing(False)
+            tracer.clear()
+        (event,) = events
+        return event["args"]["engine"]
+
+    def test_each_path_is_named(self):
+        from repro.caches.cache import CacheConfig
+        from repro.trace.events import AccessKind
+
+        config = CacheConfig(capacity=4096, assoc=2, block_size=64)
+        data = [int(AccessKind.READ), int(AccessKind.WRITE)] * 150
+        with_ifetch = [int(AccessKind.IFETCH)] + data[1:]
+        assert self._span_engine(config, data) == "vector"
+        no_allocate = CacheConfig(
+            capacity=4096, assoc=2, block_size=64, write_allocate=False
+        )
+        assert self._span_engine(no_allocate, data) == "scalar"
+        assert self._span_engine(config, with_ifetch) == "split"
+
+
 class TestChromeExport:
     def test_trace_document_shape_and_metadata(self, tmp_path):
         tracer = Tracer(enabled=True)

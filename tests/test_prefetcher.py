@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.caches.cache import MissEventKind, MissTrace
-from repro.core.bank import Lookup
 from repro.core.config import StreamConfig, StrideDetector
-from repro.core.prefetcher import StreamPrefetcher
+from repro.core.prefetcher import Lookup, StreamPrefetcher
 
 
 def make_miss_trace(blocks, kinds=None, block_bits=6):
@@ -231,3 +230,21 @@ class TestStats:
         second = pf.finalize()
         assert first.prefetches_issued == second.prefetches_issued
         assert first.lengths.total_hits == second.lengths.total_hits
+
+    def test_finalize_is_a_read_only_snapshot(self):
+        # A mid-run peek must not flush active streams: the rest of the
+        # run, and the final statistics, are the same without it.
+        config = StreamConfig.filtered(n_streams=4)
+        blocks = list(range(100, 164))
+        plain = StreamPrefetcher(config).run(make_miss_trace(blocks))
+        peeked = StreamPrefetcher(config)
+        for block in blocks[:20]:
+            peeked.handle_miss(block << 6)
+        mid = peeked.finalize()
+        assert mid.lengths.total_streams == mid.allocations == 1
+        for block in blocks[20:]:
+            peeked.handle_miss(block << 6)
+        first = peeked.finalize()
+        assert first == plain
+        assert peeked.finalize() == first
+        assert (plain.stream_hits, plain.allocations) == (62, 1)

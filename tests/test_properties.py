@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.caches.cache import Cache, CacheConfig
 from repro.caches.replacement import make_policy
-from repro.core.bank import Lookup, StreamBufferBank
 from repro.core.config import StreamConfig
 from repro.core.filters import UnitStrideFilter
 from repro.core.lengths import bucket_of
@@ -109,34 +108,34 @@ class TestStreamBankInvariants:
     @given(blocks=block_seqs)
     @settings(max_examples=60, deadline=None)
     def test_bandwidth_accounting_identity(self, blocks):
-        bank = StreamBufferBank(n_streams=3, depth=2)
+        pf = StreamPrefetcher(StreamConfig.jouppi(n_streams=3))
         for block in blocks:
-            if bank.lookup(block) is Lookup.MISS:
-                bank.allocate(block + 1, 1)
-        bank.finalize()
-        assert bank.prefetches_used == bank.hits
-        assert 0 <= bank.prefetches_useless <= bank.prefetches_issued
-        # After finalize, every stream is drained.
-        assert all(len(stream) == 0 for stream in bank.streams())
+            pf.handle_miss(block << 6)
+        stats = pf.finalize()
+        assert stats.prefetches_used == stats.stream_hits
+        assert 0 <= stats.bandwidth.useless_prefetches <= stats.prefetches_issued
+        # Every allocation issued a full window; every hit one more.
+        assert stats.prefetches_issued == 2 * stats.allocations + stats.stream_hits
+        # The snapshot flushed nothing: the active windows are intact.
+        assert all(len(pf.window(i)) in (0, 2) for i in range(3))
 
     @given(blocks=block_seqs)
     @settings(max_examples=60, deadline=None)
     def test_lru_order_is_a_permutation(self, blocks):
-        bank = StreamBufferBank(n_streams=4, depth=2)
+        pf = StreamPrefetcher(StreamConfig.jouppi(n_streams=4))
         for block in blocks:
-            if bank.lookup(block) is Lookup.MISS:
-                bank.allocate(block + 1, 1)
-            assert sorted(bank.lru_order()) == [0, 1, 2, 3]
+            pf.handle_miss(block << 6)
+            assert sorted(pf.lru_order()) == [0, 1, 2, 3]
 
     @given(blocks=block_seqs)
     @settings(max_examples=60, deadline=None)
     def test_length_histogram_conserves_hits(self, blocks):
-        bank = StreamBufferBank(n_streams=2, depth=2)
+        pf = StreamPrefetcher(StreamConfig.jouppi(n_streams=2))
         for block in blocks:
-            if bank.lookup(block) is Lookup.MISS:
-                bank.allocate(block + 1, 1)
-        bank.finalize()
-        assert bank.lengths.total_hits == bank.hits
+            pf.handle_miss(block << 6)
+        stats = pf.finalize()
+        assert stats.lengths.total_hits == stats.stream_hits
+        assert stats.lengths.total_streams == stats.allocations
 
 
 class TestPrefetcherInvariants:

@@ -18,7 +18,7 @@ from repro.core.config import StreamConfig
 from repro.service import api
 from repro.service.batcher import MicroBatcher
 from repro.service.coalesce import Coalescer
-from repro.service.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.service.queue import (
     AdmissionQueue,
     DeadlineExceeded,

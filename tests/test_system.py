@@ -87,6 +87,19 @@ class TestRunTrace:
         stream_stats = system.stream_stats()
         assert stream_stats.demand_misses == system.stats.memory_fetches + system.stats.stream_hits
 
+    def test_mid_run_stream_stats_do_not_change_the_run(self):
+        def walk(peek_at=None):
+            system = MemorySystem(stream_config=StreamConfig.filtered(n_streams=4))
+            for block in range(64):
+                if block == peek_at:
+                    system.stream_stats()
+                system.access(block * 64)
+            return system.stream_stats()
+
+        final = walk()
+        assert (final.stream_hits, final.allocations) == (62, 1)
+        assert walk(peek_at=20) == final
+
 
 class TestConfigValidation:
     def test_block_bits_must_agree(self):

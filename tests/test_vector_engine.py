@@ -1,8 +1,9 @@
-"""Vectorized batch replay engine (repro.sim.vector) tests.
+"""Vectorized batch engine (repro.sim.vector) tests.
 
-Engine dispatch, support-envelope gating, batch-boundary edge cases
-(empty/single-event traces, runs crossing set boundaries), bit-identity
-against the scalar engines, and the cached trace kind flags.
+Support-envelope gating, batch-boundary edge cases (empty/single-event
+traces, runs crossing set boundaries), bit-identity against the scalar
+cache, stream replay through the one prefetcher engine (both of its
+loops against the oracle), and the cached trace kind flags.
 """
 
 import random
@@ -15,6 +16,7 @@ from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
 from repro.caches.secondary import simulate_secondary
 from repro.check import differ
 from repro.check import invariants as _inv
+from repro.check.oracle import RefStreamPrefetcher
 from repro.core.config import StreamConfig, StrideDetector
 from repro.core.prefetcher import StreamPrefetcher
 from repro.sim import vector
@@ -58,27 +60,6 @@ def _assert_l1_identical(config, trace):
     assert np.array_equal(vec_trace.addrs, ref_trace.addrs)
     assert np.array_equal(vec_trace.kinds, ref_trace.kinds)
     assert vec_stats == scalar.stats
-
-
-class TestEngineResolution:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(vector.ENGINE_ENV_VAR, raising=False)
-        assert vector.resolve_engine() == vector.ENGINE_VECTOR
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, vector.ENGINE_SCALAR)
-        assert vector.resolve_engine() == vector.ENGINE_SCALAR
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, vector.ENGINE_SCALAR)
-        assert vector.resolve_engine(vector.ENGINE_VECTOR) == vector.ENGINE_VECTOR
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown engine"):
-            vector.resolve_engine("turbo")
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            vector.resolve_engine()
 
 
 class TestL1Gating:
@@ -177,7 +158,33 @@ class TestL1EdgeCases:
         assert a_stats == b_stats
 
 
+def _assert_matches_oracle(stats, config, miss_trace):
+    ref = RefStreamPrefetcher(config).run(
+        miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
+    )
+    for name, got, expected in differ._stats_counter_pairs(stats, ref):
+        assert got == expected, name
+
+
+def _drive_per_event(config, miss_trace):
+    prefetcher = StreamPrefetcher(config)
+    for addr, kind in zip(miss_trace.addrs.tolist(), miss_trace.kinds.tolist()):
+        if kind == int(MissEventKind.WRITEBACK):
+            prefetcher.handle_writeback(addr)
+        else:
+            prefetcher.handle_miss(addr, is_ifetch=kind == int(MissEventKind.IFETCH_MISS))
+    return prefetcher.finalize()
+
+
+def _refuse(self, miss_trace):
+    raise AssertionError("the flat loop ran")
+
+
 class TestStreamReplay:
+    """``replay_streams`` runs every configuration through
+    :meth:`StreamPrefetcher.run`: its flat loop for one unified,
+    head-only, zero-latency lane, the general lane loop otherwise."""
+
     def _flat_config(self, **overrides):
         base = StreamConfig.filtered(n_streams=4)
         return replace(base, **overrides) if overrides else base
@@ -188,28 +195,34 @@ class TestStreamReplay:
             dict(partitioned=True, i_streams=2),
             dict(lookup_depth=2),
             dict(min_lead=1),
-            dict(stride_detector=StrideDetector.CZONE),
+            dict(partitioned=True, lookup_depth=2, min_lead=2),
         ],
     )
-    def test_unsupported_configs_fall_back(self, overrides):
+    def test_unsupported_configs_fall_back(self, overrides, monkeypatch):
         config = self._flat_config(**overrides)
-        assert vector.vector_replay_streams(config, _miss_trace([0])) is None
-        assert not vector.streams_vector_supported(config)
-        # The dispatcher still answers, through the scalar prefetcher.
-        stats = vector.replay_streams(config, _miss_trace([0, 64, 128]))
-        assert stats == StreamPrefetcher(config).run(_miss_trace([0, 64, 128]))
+        mt = differ.random_miss_trace(random.Random(1), 1500)
+        monkeypatch.setattr(StreamPrefetcher, "_run_flat", _refuse)
+        stats = vector.replay_streams(config, mt)
+        _assert_matches_oracle(stats, config, mt)
+
+    @pytest.mark.parametrize("detector", [StrideDetector.CZONE, StrideDetector.MIN_DELTA])
+    def test_stride_detectors_take_the_flat_loop(self, detector, monkeypatch):
+        config = self._flat_config(stride_detector=detector)
+        mt = differ.random_miss_trace(random.Random(2), 1500)
+        monkeypatch.setattr(StreamPrefetcher, "_run_general", _refuse)
+        stats = vector.replay_streams(config, mt)
+        assert stats.detector_hits > 0
+        _assert_matches_oracle(stats, config, mt)
 
     def test_block_bits_mismatch_raises(self):
         config = self._flat_config()
         with pytest.raises(ValueError, match="block_bits"):
-            vector.vector_replay_streams(config, _miss_trace([0], block_bits=7))
+            vector.replay_streams(config, _miss_trace([0], block_bits=7))
 
     def test_empty_and_single_event(self):
         config = self._flat_config()
         for mt in (_miss_trace([]), _miss_trace([0x1000])):
-            vec = vector.vector_replay_streams(config, mt)
-            ref = StreamPrefetcher(config).run(mt)
-            assert vec == ref
+            assert vector.replay_streams(config, mt) == _drive_per_event(config, mt)
 
     def test_mixed_writeback_ifetch_stream(self):
         # Sequential run, an ifetch miss inside it, then a write-back
@@ -224,26 +237,26 @@ class TestStreamReplay:
         addrs += [i * block for i in range(8, 14)]
         kinds += [int(MissEventKind.READ_MISS)] * 6
         mt = _miss_trace(addrs, kinds)
-        vec = vector.vector_replay_streams(config, mt)
-        ref = StreamPrefetcher(config).run(mt)
-        assert vec == ref
-        assert vec.writebacks == 1 and vec.ifetch_misses == 1
+        stats = vector.replay_streams(config, mt)
+        assert stats == _drive_per_event(config, mt)
+        assert stats.writebacks == 1 and stats.ifetch_misses == 1
 
     @pytest.mark.parametrize("n_streams,depth", [(1, 1), (4, 4), (10, 2)])
     def test_random_miss_traces_identical(self, n_streams, depth):
         config = StreamConfig.jouppi(n_streams=n_streams, depth=depth)
         for seed in range(3):
             mt = differ.random_miss_trace(random.Random(seed), 1200)
-            vec = vector.vector_replay_streams(config, mt)
-            ref = StreamPrefetcher(config).run(mt)
-            assert vec == ref
+            _assert_matches_oracle(vector.replay_streams(config, mt), config, mt)
 
     def test_repro_check_stand_down(self, monkeypatch):
-        monkeypatch.setattr(_inv, "ENABLED", True)
+        # Under REPRO_CHECK the bulk run stands down to the general loop,
+        # whose lane operations run the per-operation invariants.
         config = self._flat_config()
-        mt = _miss_trace([0, 64])
-        assert vector.vector_replay_streams(config, mt) is None
-        assert vector.vector_replay_streams(config, mt, force=True) is not None
+        mt = differ.random_miss_trace(random.Random(3), 800)
+        unchecked = vector.replay_streams(config, mt)
+        monkeypatch.setattr(_inv, "ENABLED", True)
+        monkeypatch.setattr(StreamPrefetcher, "_run_flat", _refuse)
+        assert vector.replay_streams(config, mt) == unchecked
 
 
 class TestSecondaryProbe:
