@@ -82,14 +82,19 @@ check-diff:
 
 # The stream-buffer engine vs its golden oracle on a 200-seed corpus:
 # per-event and bulk run() (both of its loops), hybrid stacks with a
-# trailing stream member, and the batch cache engines; then the streams
-# stage again with REPRO_CHECK=1, so every lane operation runs the
-# flat-window structural invariants.
+# trailing stream member, the batch cache engines, and the one-pass
+# n_streams ladder vs per-count replays (both forks and the merge must fire);
+# then the streams stage again with REPRO_CHECK=1, so every lane
+# operation runs the flat-window structural invariants, and a 50-seed
+# ladder slice with every ladder-derived StreamStats through the
+# conservation checks (its per-count references replay checked, ~40 s).
 streams-diff:
 	PYTHONPATH=src python -m repro check --seeds 200 --no-registry \
-		--stages streams,hybrid,vector
+		--stages streams,hybrid,vector,ladder
 	REPRO_CHECK=1 PYTHONPATH=src python -m repro check --seeds 200 --no-registry \
 		--stages streams
+	REPRO_CHECK=1 PYTHONPATH=src python -m repro check --seeds 50 --no-registry \
+		--stages ladder
 
 # Extended corpus for pre-release confidence: more seeds, longer traces,
 # and the runtime invariants armed throughout.

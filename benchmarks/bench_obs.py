@@ -14,10 +14,13 @@ replication would pay —
   full artifact path (ManifestBuilder construction, per-cell records,
   manifest build from the drained spans).
 
-Each state is timed ``REPEATS`` times, interleaved to spread thermal /
-cache drift across both, and the minima are compared.  The gate:
-enabled within ``MAX_OVERHEAD`` (5%) of disabled.  Results land in
-``BENCH_PR5.json``.
+The states are timed in ``PAIRS`` adjacent pairs (untraced, then
+traced), and the gate takes the median of the per-pair ratios: a host
+that drifts slower or faster during the probe moves both halves of a
+pair alike, so drift cancels in each ratio, and the median ignores the
+odd pair a neighbour's burst landed on.  The gate: the median traced
+pass within ``MAX_OVERHEAD`` (5%) of its untraced partner.  Results
+land in ``BENCH_PR5.json``.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_obs.py``) or
 as the final phase of ``make bench-quick``, hydrating its in-memory
@@ -28,10 +31,12 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, Dict, List
 
 from contextlib import nullcontext
 
@@ -47,7 +52,7 @@ from repro.trace.store import TraceStore
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 MAX_OVERHEAD = 0.05
-REPEATS = 3
+PAIRS = 7
 
 
 def replay_cache(tasks, store: TraceStore) -> MissTraceCache:
@@ -88,41 +93,60 @@ def _one_pass(tasks, cache: MissTraceCache, enabled: bool) -> float:
     return elapsed
 
 
-def overhead_probe(tasks, store: TraceStore, repeats: int = REPEATS) -> dict:
+def paired_overhead(one_pass: Callable[[bool], float], pairs: int = PAIRS) -> Dict:
+    """Time ``pairs`` adjacent (untraced, traced) passes and gate the
+    median paired ratio.
+
+    ``one_pass(enabled)`` runs one pass and returns its seconds.  The
+    result carries both series, every ratio, the overhead (median ratio
+    minus one) and the verdict against ``MAX_OVERHEAD``.
+    """
+    if pairs < 1:
+        raise ValueError(f"pairs must be positive, got {pairs}")
+    untraced: List[float] = []
+    traced: List[float] = []
+    for _ in range(pairs):
+        untraced.append(one_pass(False))
+        traced.append(one_pass(True))
+    ratios = [t / u for u, t in zip(untraced, traced)]
+    overhead = statistics.median(ratios) - 1.0
+    return {
+        "untraced": untraced,
+        "traced": traced,
+        "ratios": ratios,
+        "overhead": overhead,
+        "pass": overhead <= MAX_OVERHEAD,
+    }
+
+
+def overhead_probe(tasks, store: TraceStore, pairs: int = PAIRS) -> dict:
     """Time traced vs untraced replay sweeps and write ``BENCH_PR5.json``."""
     cache = replay_cache(tasks, store)
     _one_pass(tasks, cache, enabled=False)  # warm the replay path once
-    disabled: list = []
-    enabled: list = []
-    for _ in range(repeats):
-        disabled.append(_one_pass(tasks, cache, enabled=False))
-        enabled.append(_one_pass(tasks, cache, enabled=True))
-    best_disabled, best_enabled = min(disabled), min(enabled)
-    overhead = best_enabled / best_disabled - 1.0
-    ok = overhead <= MAX_OVERHEAD
-    print(
-        f"{'telemetry disabled':24s} {best_disabled:7.3f}s  "
-        f"({len(tasks) / best_disabled:6.1f} cells/s, min of {repeats})"
-    )
-    print(
-        f"{'telemetry enabled':24s} {best_enabled:7.3f}s  "
-        f"({len(tasks) / best_enabled:6.1f} cells/s, min of {repeats})"
-    )
+    probe = paired_overhead(lambda enabled: _one_pass(tasks, cache, enabled), pairs)
+    overhead, ok = probe["overhead"], probe["pass"]
+    for label, series in (("telemetry disabled", probe["untraced"]),
+                          ("telemetry enabled", probe["traced"])):
+        median = statistics.median(series)
+        print(
+            f"{label:24s} {median:7.3f}s  "
+            f"({len(tasks) / median:6.1f} cells/s, median of {pairs})"
+        )
     print(
         f"telemetry overhead: {100 * overhead:+.1f}% "
-        f"(gate <= {100 * MAX_OVERHEAD:.0f}%)  ->  {'PASS' if ok else 'FAIL'}"
+        f"(median of {pairs} paired ratios, gate <= {100 * MAX_OVERHEAD:.0f}%)"
+        f"  ->  {'PASS' if ok else 'FAIL'}"
     )
 
     payload = {
         "pr": 5,
         "benchmark": "bench_obs: traced vs untraced warm sweep (repro.obs)",
-        "grid": {"cells": len(tasks), "jobs": 1, "repeats": repeats},
+        "grid": {"cells": len(tasks), "jobs": 1, "pairs": pairs},
         "seconds": {
-            "disabled_min": round(best_disabled, 4),
-            "enabled_min": round(best_enabled, 4),
-            "disabled_all": [round(s, 4) for s in disabled],
-            "enabled_all": [round(s, 4) for s in enabled],
+            "untraced_all": [round(s, 4) for s in probe["untraced"]],
+            "traced_all": [round(s, 4) for s in probe["traced"]],
         },
+        "paired_ratios": [round(r, 4) for r in probe["ratios"]],
         "overhead_fraction": round(overhead, 4),
         "max_overhead_fraction": MAX_OVERHEAD,
         "pass": ok,

@@ -32,6 +32,10 @@ Three stages:
   (L1, sampled L2 probe) vs their scalar counterparts on
   configurations coerced into the vector support envelope
   (``repro check --replay vector:SEED``);
+* :func:`diff_ladder` — the one-pass ``n_streams`` ladder
+  (:func:`~repro.core.prefetcher.run_ladder`) vs replaying each stream
+  count by itself, on traces built to force its two divergences and
+  with frequent merge points (``repro check --replay ladder:SEED``);
 * :func:`diff_victim` / :func:`diff_misscache` / :func:`diff_hybrid` —
   the production secondary mechanisms of :mod:`repro.mechanisms`
   (victim cache, miss cache, serial hybrid stacks) vs the golden models
@@ -44,8 +48,9 @@ Three stages:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +58,20 @@ from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
 from repro.caches.secondary import simulate_secondary
 from repro.check import mech_oracle, oracle
 from repro.core.config import StreamConfig, StrideDetector
-from repro.core.prefetcher import Lookup, StreamPrefetcher, StreamStats
+from repro.core.prefetcher import (
+    INHERITED_INVALIDATION,
+    MERGE,
+    TIE,
+    Lookup,
+    StreamPrefetcher,
+    StreamStats,
+    run_ladder,
+)
 from repro.mechanisms import MechanismConfig, build_mechanism
 from repro.sim.runner import simulate_l1
 from repro.sim.vector import (
     replay_secondary,
+    replay_streams,
     vector_simulate_cache,
     vector_simulate_secondary,
 )
@@ -74,6 +88,7 @@ __all__ = [
     "random_victim_config",
     "random_misscache_config",
     "random_hybrid_config",
+    "random_ladder_trace",
     "diff_l1",
     "diff_streams",
     "diff_victim",
@@ -82,6 +97,7 @@ __all__ = [
     "diff_analytic",
     "diff_analytic_streams",
     "diff_vector",
+    "diff_ladder",
     "diff_registry_workload",
     "check_seed",
     "run_corpus",
@@ -129,6 +145,8 @@ class CheckReport:
     seeds_checked: int = 0
     stages_run: int = 0
     divergences: List[Divergence] = field(default_factory=list)
+    #: How often the ladder forked, by reason, and merged (``ladder`` stage only).
+    ladder_flags: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -963,6 +981,126 @@ def diff_vector(seed: int, n_events: int = 2500) -> Optional[Divergence]:
     )
 
 
+def random_ladder_trace(
+    rng: random.Random, n_events: int, depth: int, n_values: Sequence[int],
+    block_bits: int = 6,
+) -> MissTrace:
+    """A miss-event stream built to exercise the stream ladder's divergences.
+
+    The body interleaves a few ascending block runs, so hits land at
+    every LRU-stack position; at per-seed rates it re-misses the block
+    behind a run (a second window with the same head: a tie), aims
+    write-backs at a run's next blocks (invalidations that a later hit
+    carries forward), restarts runs, and mixes in write, instruction
+    fetch and random misses.  The tail then constructs one inherited
+    invalidation at stack position ``min(n_values)`` and one tie, so
+    both divergences fire wherever the stream counts allow them.
+    """
+    blocks: List[int] = []
+    kinds: List[int] = []
+    span = 1 << 20
+    cursors = [rng.randrange(span) for _ in range(rng.randrange(1, 13))]
+    tie_rate = rng.choice([0.0, 0.002, 0.01])
+    wb_rate = rng.choice([0.05, 0.15, 0.3])
+    body = max(0, n_events - 24)
+    while len(blocks) < body:
+        c = rng.randrange(len(cursors))
+        roll = rng.random()
+        if roll < tie_rate:
+            blocks.append(cursors[c] - 1)
+            kinds.append(rng.choice([oracle.EV_READ_MISS, oracle.EV_WRITE_MISS]))
+        elif roll < tie_rate + wb_rate:
+            blocks.append(cursors[c] + rng.randrange(depth + 1))
+            kinds.append(oracle.EV_WRITEBACK)
+        elif roll < 0.9:
+            blocks.append(cursors[c])
+            kinds.append(
+                oracle.EV_IFETCH_MISS if rng.random() < 0.05 else oracle.EV_READ_MISS
+            )
+            cursors[c] += 1
+        elif roll < 0.95:
+            cursors[c] = rng.randrange(span)
+        else:
+            blocks.append(rng.randrange(span))
+            kinds.append(rng.choice([oracle.EV_READ_MISS, oracle.EV_WRITE_MISS]))
+    del blocks[body:], kinds[body:]
+    # Inherited invalidation: invalidate the second entry of a fresh
+    # window, push it down min(n_values) positions, then hit its head.
+    base = span + rng.randrange(span)
+    pushes = min(n_values)
+    tail = [(base, oracle.EV_READ_MISS), (base + 2, oracle.EV_WRITEBACK)]
+    tail += [(base + 16 * (k + 1), oracle.EV_READ_MISS) for k in range(pushes)]
+    tail.append((base + 1, oracle.EV_READ_MISS))
+    # Tie: two windows with the same head, then a miss on that head.
+    base += 1 << 12
+    tail += [(base, oracle.EV_READ_MISS)] * 2 + [(base + 1, oracle.EV_READ_MISS)]
+    for block, kind in tail:
+        blocks.append(block)
+        kinds.append(kind)
+    return MissTrace(
+        np.asarray(blocks, dtype=np.int64) << block_bits,
+        np.asarray(kinds, dtype=np.uint8),
+        block_bits,
+    )
+
+
+def _stream_stats_pairs(
+    stats: StreamStats, expected: StreamStats
+) -> List[Tuple[str, object, object]]:
+    """Every :class:`StreamStats` field of two runs, side by side."""
+    pairs = []
+    for item in fields(StreamStats):
+        if item.name == "lengths":
+            for part in ("hits_by_bucket", "streams_by_bucket", "zero_length_streams"):
+                pairs.append(
+                    (
+                        f"lengths.{part}",
+                        getattr(stats.lengths, part),
+                        getattr(expected.lengths, part),
+                    )
+                )
+        else:
+            pairs.append(
+                (item.name, getattr(stats, item.name), getattr(expected, item.name))
+            )
+    return pairs
+
+
+def diff_ladder(
+    seed: int, n_events: int = 2000, flags: Optional[Counter] = None
+) -> Optional[Divergence]:
+    """One seeded stream-ladder check (:func:`run_ladder`).
+
+    A random subset of stream counts (contiguous or not, in any order)
+    at a random depth 1-4, on :func:`random_ladder_trace`, with merge
+    points every 16 to 1024 events; every :class:`StreamStats` field of
+    every count must equal a replay of that count by itself through
+    :func:`replay_streams`.  ``flags``, if given, tallies the ladder's
+    forks by reason and its merges.
+    """
+    rng = random.Random(seed * 2246822519 % (1 << 31) + 7)
+    depth = rng.randrange(1, 5)
+    n_values = rng.sample(range(1, 11), rng.randrange(1, 11))
+    miss_trace = random_ladder_trace(rng, n_events, depth, n_values)
+    chunk = rng.choice([16, 64, 256, 1024])
+    base = StreamConfig(n_streams=n_values[0], depth=depth)
+    ladder_stats, replayed, moves = run_ladder(base, n_values, miss_trace, chunk=chunk)
+    if flags is not None:
+        flags.update(moves)
+    for n in n_values:
+        config = base.with_(n_streams=n)
+        divergence = _compare_counters(
+            "ladder",
+            seed,
+            _stream_stats_pairs(ladder_stats[n], replay_streams(config, miss_trace)),
+            f"n_values={sorted(n_values)} depth={depth} n={n} chunk={chunk} "
+            f"replayed={replayed} moves={dict(moves)}",
+        )
+        if divergence is not None:
+            return divergence
+    return None
+
+
 #: Small, structurally diverse slice of the registry for corpus runs.
 DEFAULT_REGISTRY_WORKLOADS = ("cgm", "mgrid", "trfd")
 
@@ -1045,6 +1183,7 @@ STAGE_FUNCTIONS = {
     "analytic": diff_analytic,
     "analytic-streams": diff_analytic_streams,
     "vector": diff_vector,
+    "ladder": diff_ladder,
 }
 
 #: Stages a default corpus run exercises per seed, in order.
@@ -1061,12 +1200,21 @@ DEFAULT_STAGES = (
 
 
 def check_seed(
-    seed: int, n_events: int = 2500, stages: Sequence[str] = DEFAULT_STAGES
+    seed: int,
+    n_events: int = 2500,
+    stages: Sequence[str] = DEFAULT_STAGES,
+    ladder_flags: Optional[Counter] = None,
 ) -> List[Divergence]:
-    """Run the random-trace stages for one seed."""
+    """Run the random-trace stages for one seed.
+
+    ``ladder_flags``, if given, tallies the ``ladder`` stage's forks and merges.
+    """
     found = []
     for stage in stages:
-        divergence = STAGE_FUNCTIONS[stage](seed, n_events=n_events)
+        if stage == "ladder":
+            divergence = diff_ladder(seed, n_events=n_events, flags=ladder_flags)
+        else:
+            divergence = STAGE_FUNCTIONS[stage](seed, n_events=n_events)
         if divergence is not None:
             found.append(divergence)
     return found
@@ -1089,12 +1237,32 @@ def run_corpus(
             f"unknown stages {unknown}; choose from {sorted(STAGE_FUNCTIONS)}"
         )
     report = CheckReport()
+    fired: Counter = Counter()
     for seed in range(seed_start, seed_start + seeds):
-        report.divergences.extend(check_seed(seed, n_events=n_events, stages=stages))
+        report.divergences.extend(
+            check_seed(seed, n_events=n_events, stages=stages, ladder_flags=fired)
+        )
         report.seeds_checked += 1
         report.stages_run += len(stages)
         if progress is not None and (seed - seed_start + 1) % 25 == 0:
             progress(f"  {seed - seed_start + 1}/{seeds} seeds checked")
+    if "ladder" in stages and seeds:
+        report.ladder_flags = {
+            reason: fired[reason] for reason in (TIE, INHERITED_INVALIDATION, MERGE)
+        }
+        for reason, count in report.ladder_flags.items():
+            if not count:
+                # A fork or merge path the corpus never reaches is untested.
+                report.divergences.append(
+                    Divergence(
+                        stage="ladder",
+                        seed=seed_start,
+                        what=f"ladder path {reason!r} coverage",
+                        optimized="never fired",
+                        expected="fired at least once over the corpus",
+                        context=f"{seeds} seeds from {seed_start}",
+                    )
+                )
     if registry:
         for name in registry_workloads:
             divergence = diff_registry_workload(name, scale=registry_scale)

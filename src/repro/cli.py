@@ -1121,6 +1121,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         progress=print,
     )
     elapsed = time.perf_counter() - started
+    if report.ladder_flags:
+        print(
+            "ladder forks and merges over the corpus: "
+            + ", ".join(f"{reason}={count}" for reason, count in report.ladder_flags.items())
+        )
     print(
         f"{report.seeds_checked} seeds, {report.stages_run} stages in {elapsed:.1f}s: "
         + ("all consistent" if report.ok else f"{len(report.divergences)} DIVERGENCES")

@@ -46,7 +46,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.context import current_trace_id
 
@@ -126,6 +126,42 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         return _Span(self, name, args or None)
+
+    def checkpoint(self) -> Tuple[List[dict], int]:
+        """The current end of the event buffer, for :meth:`record`."""
+        with self._lock:
+            return self._events, len(self._events)
+
+    def record(
+        self,
+        name: str,
+        start_ns: int,
+        end_ns: int,
+        since: Tuple[List[dict], int],
+        **args,
+    ) -> None:
+        """Record a span the caller timed itself (no-op when disabled).
+
+        This lets one piece of shared work be reported as several spans,
+        such as one stream-ladder pass split evenly across the grid cells
+        it computed.  Such a span may end before spans this thread
+        recorded after ``since`` (a :meth:`checkpoint`), so those events
+        are re-sorted into completion order together with the new one.
+        """
+        if not self.enabled:
+            return
+        self._record(name, start_ns, end_ns, args or None)
+        buffer, position = since
+        thread = (os.getpid(), threading.get_native_id())
+        with self._lock:
+            events = self._events
+            if events is not buffer:  # drained since the checkpoint
+                position = 0
+            tail = events[position:]
+            mine = [e for e in tail if (e.get("pid"), e.get("tid")) == thread]
+            others = [e for e in tail if (e.get("pid"), e.get("tid")) != thread]
+            mine.sort(key=lambda e: e["ts"] + e["dur"])
+            events[position:] = others + mine
 
     def _record(
         self, name: str, start_ns: int, end_ns: int, args: Optional[dict]

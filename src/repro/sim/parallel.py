@@ -12,9 +12,14 @@ over ``concurrent.futures.ProcessPoolExecutor`` workers:
 * replayed :class:`~repro.core.prefetcher.StreamStats` are themselves
   memoised in the store (replays are deterministic), so a warm store
   turns a whole figure sweep into pure loads;
-* tasks are scheduled in chunks to amortise IPC, a failed cell returns a
-  tagged :class:`TaskError` instead of killing the sweep, and results
-  are assembled in task order regardless of completion order.
+* cells that share a miss trace and differ only in ``n_streams`` (an
+  unfiltered stream ladder, Figure 3's x-axis) replay in one LRU-stack
+  pass (:func:`~repro.sim.vector.replay_stream_ladder`) once at least
+  :data:`LADDER_MIN_CELLS` of them are uncached;
+* tasks are scheduled in chunks to amortise IPC (a ladder group stays in
+  one chunk), a failed cell returns a tagged :class:`TaskError` instead
+  of killing the sweep, and results are assembled in task order
+  regardless of completion order.
 
 With ``jobs=1`` the grid runs in-process (no pool, no pickling) through
 exactly the same code path, which is what the equivalence tests compare
@@ -29,19 +34,19 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Union
 
 from repro.caches.cache import CacheConfig
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamStats
+from repro.core.prefetcher import StreamStats, ladder_supported
 from repro.mechanisms import MechanismConfig, MechStats
 from repro.obs.context import bind_trace, current_trace_id
 from repro.obs.metrics import engine_registry
 from repro.obs.spans import get_tracer
 from repro.sim.results import RunResult
 from repro.sim.runner import MissTraceCache, resolve_workload_ref
-from repro.sim.vector import replay_secondary, replay_streams
+from repro.sim.vector import replay_secondary, replay_stream_ladder, replay_streams
 from repro.trace.store import TraceStore, mech_result_digest, result_digest
 from repro.workloads.base import Workload
 
@@ -55,6 +60,10 @@ __all__ = [
 ]
 
 WorkloadRef = Union[str, Workload]
+
+#: Distinct uncached stream counts a ladder group needs before one pass
+#: beats replaying each cell (the measured crossover, docs/vectorized.md).
+LADDER_MIN_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -229,6 +238,164 @@ def _run_one(task: SweepTask, cache: MissTraceCache) -> Union[RunResult, TaskErr
         )
 
 
+def _ladder_key(task: SweepTask) -> Optional[tuple]:
+    """Cells with equal keys share a miss trace (and a request trace) and
+    have configs that differ only in ``n_streams``; None if ineligible."""
+    config = task.config
+    if not isinstance(config, StreamConfig) or not ladder_supported(config):
+        return None
+    name, scale, seed, _ = resolve_workload_ref(task.workload, task.scale, task.seed)
+    fields = tuple(value for field, value in vars(config).items() if field != "n_streams")
+    return (name, scale, seed, task.trace_id, fields)
+
+
+def _plan(tasks: Sequence[SweepTask]) -> List[List[int]]:
+    """Task indices in execution units, ordered by their first index.
+
+    Cells sharing a :func:`_ladder_key` with at least
+    :data:`LADDER_MIN_CELLS` distinct stream counts form one unit (a
+    ladder group); every other cell is a unit of its own.
+    """
+    if len(tasks) < LADDER_MIN_CELLS:
+        return [[i] for i in range(len(tasks))]
+    keys = [_ladder_key(task) for task in tasks]
+    members: Dict[tuple, List[int]] = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            members.setdefault(key, []).append(i)
+    grouped = {
+        group[0]: group
+        for group in members.values()
+        if len({tasks[j].config.n_streams for j in group}) >= LADDER_MIN_CELLS
+    }
+    in_group = {i for group in grouped.values() for i in group}
+    return [
+        grouped[i] if i in grouped else [i]
+        for i in range(len(tasks))
+        if i in grouped or i not in in_group
+    ]
+
+
+def _run_cells(
+    tasks: Sequence[SweepTask], cache: MissTraceCache
+) -> List[Union[RunResult, TaskError]]:
+    """Execute cells in process, ladder groups together; results in task order."""
+    results: List[Union[RunResult, TaskError, None]] = [None] * len(tasks)
+    for unit in _plan(tasks):
+        if len(unit) == 1:
+            results[unit[0]] = _run_one(tasks[unit[0]], cache)
+        else:
+            group = _run_group([tasks[i] for i in unit], cache)
+            for i, result in zip(unit, group):
+                results[i] = result
+    return results  # type: ignore[return-value]
+
+
+def _run_group(
+    tasks: List[SweepTask], cache: MissTraceCache
+) -> List[Union[RunResult, TaskError]]:
+    """Execute one ladder group: cells of one miss trace whose configs
+    differ only in ``n_streams``.
+
+    Stored cells load one by one through :func:`_run_one`.  If at least
+    :data:`LADDER_MIN_CELLS` distinct stream counts are left, one
+    :func:`~repro.sim.vector.replay_stream_ladder` pass computes them
+    under a ``stream.ladder`` span; each keeps its own store entry,
+    ``cell`` span and counters, with the group's wall time split evenly
+    across its cells.  Otherwise every cell runs by itself.
+    """
+    first = tasks[0]
+    name, scale, seed, _ = resolve_workload_ref(first.workload, first.scale, first.seed)
+    store = cache.store
+    digests: List[Optional[str]] = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    if store is not None:
+        trace_key = cache.trace_key(name, scale, seed)
+        digests = [result_digest(trace_key, task.config) for task in tasks]
+        pending = [i for i, d in enumerate(digests) if not store.result_path(d).exists()]
+    n_values = sorted({tasks[i].config.n_streams for i in pending})
+    if len(n_values) < LADDER_MIN_CELLS:
+        return [_run_one(task, cache) for task in tasks]
+    uncached = set(pending)
+    results: List[Union[RunResult, TaskError, None]] = [
+        None if i in uncached else _run_one(task, cache) for i, task in enumerate(tasks)
+    ]
+
+    registry = engine_registry()
+    tracer = get_tracer()
+    trace_id = first.trace_id or current_trace_id() or ""
+    error: Optional[TaskError] = None
+    failure: Dict[str, str] = {}
+    with bind_trace(first.trace_id):
+        since = tracer.checkpoint()
+        started = time.perf_counter_ns()
+        try:
+            miss_trace, summary = cache.get(first.workload, scale=scale, seed=seed)
+            with tracer.span(
+                "stream.ladder", workload=name, engine="ladder", n_values=n_values
+            ) as span:
+                stats, flagged, moves = replay_stream_ladder(
+                    [tasks[i].config for i in pending], miss_trace
+                )
+                span.set(
+                    replayed=sorted(flagged),
+                    fallback={str(n): reason for n, reason in sorted(flagged.items())},
+                    moves=dict(sorted(moves.items())),
+                )
+            if store is not None:
+                for i, cell_stats in zip(pending, stats):
+                    store.save_result(digests[i], cell_stats)
+        except Exception as exc:  # tagged per cell, as in _run_one
+            error = TaskError(
+                key=None,
+                workload=name,
+                error=f"{type(exc).__name__}: {exc}",
+                details=traceback.format_exc(),
+                worker=os.getpid(),
+                trace_id=trace_id,
+            )
+            failure = {"error": type(exc).__name__}
+        share = (time.perf_counter_ns() - started) // len(pending)
+        for k, i in enumerate(pending):
+            with bind_trace(tasks[i].trace_id):
+                tracer.record(
+                    "cell",
+                    started + k * share,
+                    started + (k + 1) * share,
+                    since,
+                    key=str(tasks[i].key),
+                    workload=name,
+                    **failure,
+                )
+    wall = share / 1e9
+    if error is not None:
+        for i in pending:
+            _count_cell(registry, "error", wall)
+            results[i] = replace(error, key=tasks[i].key, wall_time_s=wall)
+        return results  # type: ignore[return-value]
+    registry.counter(
+        "engine_ladder_groups_total", "stream ladder groups replayed in one pass"
+    ).inc()
+    registry.counter(
+        "engine_ladder_replayed_total",
+        "stream counts a ladder pass ran on the one-bank engine for a while",
+    ).inc(len(flagged))
+    for i, cell_stats in zip(pending, stats):
+        _count_cell(registry, "replayed", wall)
+        results[i] = RunResult(
+            workload=name,
+            scale=scale,
+            seed=seed,
+            l1=summary,
+            streams=cell_stats,
+            wall_time_s=wall,
+            worker=os.getpid(),
+            source="replayed",
+            trace_id=trace_id,
+        )
+    return results  # type: ignore[return-value]
+
+
 def _count_cell(registry, source: str, wall: float) -> None:
     """Tally one finished cell in the engine registry."""
     registry.counter("engine_cells_total", "grid cells executed").inc()
@@ -282,7 +449,7 @@ def _run_chunk(index: int, chunk: List[SweepTask]):
     assert _WORKER_CACHE is not None, "worker initializer did not run"
     tracer = get_tracer()
     with tracer.span("grid.chunk", index=index, tasks=len(chunk)):
-        results = [_run_one(task, _WORKER_CACHE) for task in chunk]
+        results = _run_cells(chunk, _WORKER_CACHE)
     telemetry = {
         "metrics": engine_registry().drain(),
         "spans": tracer.drain() if tracer.enabled else [],
@@ -391,16 +558,21 @@ def run_grid(
         if cache is None:
             cache = MissTraceCache(l1_config, keep_pcs=keep_pcs, store=store)
         with get_tracer().span("grid.run", cells=len(tasks), jobs=1):
-            return [_run_one(task, cache) for task in tasks]
+            return _run_cells(tasks, cache)
 
     workers = jobs
     if executor is not None:
         workers = max(1, executor._max_workers)
     if chunk_size is None:
         chunk_size = max(1, math.ceil(len(tasks) / (workers * 4)))
-    chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
+    # Chunks hold whole execution units, so a ladder group stays together.
+    chunks: List[List[int]] = [[]]
+    for unit in _plan(tasks):
+        if len(chunks[-1]) >= chunk_size:
+            chunks.append([])
+        chunks[-1].extend(unit)
     store_root = str(store.root) if store is not None else None
-    assembled: Dict[int, List[Union[RunResult, TaskError]]] = {}
+    results: List[Union[RunResult, TaskError, None]] = [None] * len(tasks)
     pool = executor
     if pool is None:
         pool = ProcessPoolExecutor(
@@ -411,11 +583,13 @@ def run_grid(
     try:
         with get_tracer().span("grid.run", cells=len(tasks), jobs=workers):
             futures = [
-                pool.submit(_run_chunk, i, chunk) for i, chunk in enumerate(chunks)
+                pool.submit(_run_chunk, i, [tasks[j] for j in chunk])
+                for i, chunk in enumerate(chunks)
             ]
             for future in as_completed(futures):
-                index, results, telemetry = future.result()
-                assembled[index] = results
+                index, chunk_results, telemetry = future.result()
+                for j, result in zip(chunks[index], chunk_results):
+                    results[j] = result
                 # Fold each worker's drained telemetry into this process
                 # so sweeps observe one registry and one trace no matter
                 # how many processes did the work.
@@ -424,7 +598,7 @@ def run_grid(
     finally:
         if executor is None:
             pool.shutdown()
-    return [result for i in range(len(chunks)) for result in assembled[i]]
+    return results  # type: ignore[return-value]
 
 
 def grid_stats(

@@ -42,14 +42,17 @@ differentially tested even then.
 Stream buffers have a single engine, the flat-window
 :class:`~repro.core.prefetcher.StreamPrefetcher`; :func:`replay_streams`
 and :func:`replay_secondary` are the entry points every layer replays a
-miss trace through.
+miss trace through.  :func:`replay_stream_ladder` serves a whole
+``n_streams`` ladder of unfiltered configs from one LRU-stack pass
+(:func:`~repro.core.prefetcher.run_ladder`), continuing through
+:func:`replay_streams` the stream counts a divergence leaves alone.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from collections import Counter, OrderedDict
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from repro.caches.cache import CacheConfig, CacheStats, MissEventKind, MissTrace
 from repro.caches.secondary import SecondaryResult
 from repro.check import invariants as _inv
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher, StreamStats
+from repro.core.prefetcher import StreamPrefetcher, StreamStats, run_ladder
 from repro.trace.events import AccessKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +70,7 @@ __all__ = [
     "cache_vector_supported",
     "vector_simulate_cache",
     "replay_streams",
+    "replay_stream_ladder",
     "replay_secondary",
     "secondary_vector_supported",
     "vector_simulate_secondary",
@@ -313,14 +317,56 @@ def _residue_ordered(
 # ---------------------------------------------------------------------------
 
 
-def replay_streams(config: StreamConfig, miss_trace: MissTrace) -> StreamStats:
+def replay_streams(
+    config: StreamConfig,
+    miss_trace: MissTrace,
+    prefetcher: Optional[StreamPrefetcher] = None,
+) -> StreamStats:
     """Replay a miss trace through stream buffers.
 
     The single entry point used by the runner, the parallel sweep workers
     and the Table 4 search; :meth:`StreamPrefetcher.run` picks its loop
-    from the configuration.
+    from the configuration.  ``prefetcher``, if given, is a bank of
+    ``config`` already part-way through a longer trace (a stream ladder's
+    lone bank): the replay continues it over ``miss_trace``, the next
+    events of that trace, and the statistics cover all of them so far.
     """
-    return StreamPrefetcher(config).run(miss_trace)
+    if prefetcher is None:
+        prefetcher = StreamPrefetcher(config)
+    return prefetcher.run(miss_trace)
+
+
+def replay_stream_ladder(
+    configs: Sequence[StreamConfig], miss_trace: MissTrace
+) -> Tuple[List[StreamStats], Dict[int, str], Counter]:
+    """Replay configs that differ only in ``n_streams`` in one pass.
+
+    Bit-identical to :func:`replay_streams` on each config:
+    :func:`~repro.core.prefetcher.run_ladder` serves every stream count
+    from LRU stacks, except while a divergence leaves a count alone;
+    that count's bank then continues through :func:`replay_streams` (looked
+    up as a module global on every call), one chunk of miss events at a
+    time.
+
+    Returns:
+        The statistics in ``configs`` order, the reason each stream count
+        that went through :func:`replay_streams` first left a stack, and
+        the ladder's forks by reason and merges.
+
+    Raises:
+        ValueError: if the configs differ in anything but ``n_streams``,
+            or lie outside :func:`~repro.core.prefetcher.ladder_supported`.
+    """
+    base = configs[0]
+    if any(config.with_(n_streams=base.n_streams) != base for config in configs):
+        raise ValueError("a stream ladder's configs may differ only in n_streams")
+    stats, replayed, moves = run_ladder(
+        base,
+        [c.n_streams for c in configs],
+        miss_trace,
+        lambda config, events, prefetcher: replay_streams(config, events, prefetcher),
+    )
+    return [stats[config.n_streams] for config in configs], replayed, moves
 
 
 def replay_secondary(mechanism: "MechanismConfig", miss_trace: MissTrace) -> "MechStats":

@@ -61,6 +61,36 @@ class TestSpanRecording:
         assert len(tracer) == 0
 
 
+class TestCallerTimedSpans:
+    def test_record_files_spans_in_completion_order(self):
+        tracer = Tracer(enabled=True)
+        tracer._record("before", 0, 1_000, None)
+        since = tracer.checkpoint()
+        with tracer.span("inner"):  # finishes after the first recorded span
+            pass
+        (inner,) = [e for e in tracer.events() if e["name"] == "inner"]
+        start = inner["ts"] * 1000 - 2_000
+        tracer.record("cell", start, start + 1_000, since, key="a")
+        tracer.record("cell", start + 1_000, inner["ts"] * 1000 + 10**6, since, key="b")
+        names = [(e["name"], (e.get("args") or {}).get("key")) for e in tracer.events()]
+        assert names == [("before", None), ("cell", "a"), ("inner", None), ("cell", "b")]
+        validate_chrome_events(tracer.events())
+
+    def test_record_survives_a_drain_since_the_checkpoint(self):
+        tracer = Tracer(enabled=True)
+        since = tracer.checkpoint()
+        with tracer.span("inner"):
+            pass
+        tracer.drain()
+        tracer.record("cell", 0, 1_000, since)
+        assert [e["name"] for e in tracer.events()] == ["cell"]
+
+    def test_disabled_record_is_a_no_op(self):
+        tracer = Tracer(enabled=False)
+        tracer.record("cell", 0, 1_000, tracer.checkpoint())
+        assert tracer.events() == []
+
+
 class TestDisabledPath:
     def test_disabled_span_is_the_shared_null_singleton(self):
         tracer = Tracer(enabled=False)
